@@ -21,7 +21,7 @@ from pathlib import Path
 from . import fileio, fixtures
 from .matrix import Grouping, Tolerance, ZeroPattern, build_zero_pattern
 from .oracle import oracle_maxima
-from .search import PivotResult, select_candidates, select_maxima
+from .search import PivotResult, select_maxima
 from .simulation import ScenarioConfig, run_scenario_grid
 
 __all__ = ["main", "run_main", "parse_scenario_config"]
@@ -98,11 +98,10 @@ def _load_instance(args) -> tuple[ZeroPattern, Grouping]:
 
 def cmd_run(args) -> int:
     pattern, grouping = _load_instance(args)
-    candidates = select_candidates(pattern, grouping, args.m_bar)
     result = select_maxima(pattern, grouping, args.m_bar)
     cross = {
         c.unit: c.cross_group_zeros
-        for group_list in candidates.per_group
+        for group_list in result.candidates.per_group
         for c in group_list
     }
     if args.format == "json":

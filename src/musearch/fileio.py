@@ -10,7 +10,11 @@ units and group labels 1..k.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import math
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,61 +30,86 @@ __all__ = [
 ]
 
 
-def _numbered_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _numbered_lines(lines: Iterable[str]):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line:
             yield lineno, line
 
 
 def parse_matrix_text(text: str, source: str = "<matrix>") -> SymmetricMatrix:
-    lines = list(_numbered_lines(text))
-    if not lines:
-        raise ValueError(f"{source}: no matrix entries found")
-    # Commas mean a dense CSV; bare whitespace means triplets.
-    if "," in lines[0][1]:
-        return _parse_dense(lines, source)
-    return _parse_triplets(lines, source)
+    return _parse_matrix(lambda: contextlib.nullcontext(text.splitlines()), source)
 
 
-def _parse_dense(lines, source: str) -> SymmetricMatrix:
-    rows = []
-    width = None
-    for lineno, line in lines:
-        fields = [f.strip() for f in line.split(",")]
+def _parse_matrix(
+    open_lines: Callable[[], contextlib.AbstractContextManager[Iterable[str]]],
+    source: str,
+) -> SymmetricMatrix:
+    """Parse with numpy; when numpy refuses, rescan the lines to name the bad one."""
+    with open_lines() as handle:
+        nonblank = (line for line in handle if line.strip())
+        first = next(nonblank, None)
+        if first is None:
+            raise ValueError(f"{source}: no matrix entries found")
+        # Commas mean a dense CSV; bare whitespace means triplets.
+        dense = "," in first
+        lines = itertools.chain([first], nonblank)
         try:
-            row = [float(f) for f in fields]
-        except ValueError:
-            bad = next(f for f in fields if not _is_number(f))
-            raise ValueError(f"{source}:{lineno}: invalid number {bad!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(
-                f"{source}:{lineno}: expected {width} columns, found {len(row)}"
-            )
-        rows.append(row)
-    if len(rows) != width:
-        raise ValueError(
-            f"{source}: matrix must be square, found {len(rows)} rows of {width} columns"
-        )
+            if dense:
+                a = np.loadtxt(
+                    lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2
+                )
+            else:
+                a = _load_triplets(lines)
+        except ValueError as exc:
+            a, reason = None, str(exc)
+    if a is None:
+        with open_lines() as lines:
+            (_check_dense if dense else _check_triplets)(_numbered_lines(lines), source)
+        raise ValueError(f"{source}: unreadable matrix: {reason}")
     try:
-        return SymmetricMatrix(rows)
+        return SymmetricMatrix(a)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _is_number(field: str) -> bool:
-    try:
-        float(field)
-        return True
-    except ValueError:
-        return False
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
 
 
-def _parse_triplets(lines, source: str) -> SymmetricMatrix:
-    entries: dict[tuple[int, int], tuple[float, int]] = {}
-    n = 0
+def _load_triplets(lines: Iterable[str]) -> np.ndarray:
+    t = np.loadtxt(lines, dtype=_TRIPLET, comments=None, ndmin=1)
+    i, j, value = t["i"] - 1, t["j"] - 1, t["value"]
+    if min(i.min(), j.min()) < 0 or not np.isfinite(value).all():
+        raise ValueError("invalid triplet")
+    n = int(max(i.max(), j.max())) + 1
+    a = np.zeros((n, n))
+    a[i, j] = value
+    a[j, i] = value
+    # a duplicate that disagrees leaves one of its two cells unequal to it
+    if (a[i, j] != value).any() or (a[j, i] != value).any():
+        raise ValueError("conflicting duplicate triplets")
+    return a
+
+
+def _check_dense(lines, source: str) -> None:
+    width = None
+    for lineno, line in lines:
+        fields = [f.strip() for f in line.split(",")]
+        for field in fields:
+            try:
+                float(field)
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: invalid number {field!r}") from None
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(
+                f"{source}:{lineno}: expected {width} columns, found {len(fields)}"
+            )
+
+
+def _check_triplets(lines, source: str) -> None:
+    seen: dict[tuple[int, int], tuple[float, int]] = {}
     for lineno, line in lines:
         fields = line.split()
         if len(fields) != 3:
@@ -94,27 +123,23 @@ def _parse_triplets(lines, source: str) -> SymmetricMatrix:
             raise ValueError(f"{source}:{lineno}: invalid triplet {line!r}") from None
         if i < 1 or j < 1:
             raise ValueError(f"{source}:{lineno}: indices are 1-based, got ({i},{j})")
+        if not math.isfinite(value):
+            raise ValueError(f"{source}:{lineno}: entry ({i},{j}) is not finite")
         key = (min(i, j), max(i, j))
-        if key in entries:
-            prior, prior_line = entries[key]
+        if key in seen:
+            prior, prior_line = seen[key]
             if prior != value:
                 raise ValueError(
                     f"{source}:{lineno}: entry ({i},{j}) is {value!r} but line "
                     f"{prior_line} gave {prior!r}"
                 )
         else:
-            entries[key] = (value, lineno)
-        n = max(n, i, j)
-    a = np.zeros((n, n))
-    for (i, j), (value, _) in entries.items():
-        a[i - 1, j - 1] = value
-        a[j - 1, i - 1] = value
-    return SymmetricMatrix(a)
+            seen[key] = (value, lineno)
 
 
 def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
     assigned: dict[int, tuple[int, int]] = {}
-    for lineno, line in _numbered_lines(text):
+    for lineno, line in _numbered_lines(text.splitlines()):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise ValueError(
@@ -156,7 +181,7 @@ def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
 
 def read_matrix(path: str | Path) -> SymmetricMatrix:
     path = Path(path)
-    return parse_matrix_text(path.read_text(), source=str(path))
+    return _parse_matrix(path.open, source=str(path))
 
 
 def read_grouping(path: str | Path) -> Grouping:

@@ -8,7 +8,7 @@ I/O boundary only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,19 +38,11 @@ class Tolerance:
             raise ValueError(f"tolerance epsilon must be >= 0, got {self.epsilon}")
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class SymmetricMatrix:
     """Dense symmetric real matrix over units 0..n-1.
 
-    Asymmetric input is rejected at construction; the error names the
-    first offending entry pair (1-based, as in reports).
+    Non-finite and asymmetric input is rejected at construction; the
+    error names the first offending entry (1-based, as in reports).
     """
 
     __slots__ = ("n", "_data")
@@ -61,9 +53,12 @@ class SymmetricMatrix:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix must contain at least one unit")
-        bad = np.argwhere(a != a.T)
-        if bad.size:
-            i, j = (int(x) for x in bad[0])
+        finite = np.isfinite(a)
+        if not finite.all():
+            i, j = (int(x) for x in np.argwhere(~finite)[0])
+            raise ValueError(f"matrix entry ({i + 1},{j + 1}) is not finite")
+        if not (a == a.T).all():
+            i, j = (int(x) for x in np.argwhere(a != a.T)[0])
             raise ValueError(
                 f"matrix not symmetric: entry ({i + 1},{j + 1}) is "
                 f"{float(a[i, j])!r} but ({j + 1},{i + 1}) is {float(a[j, i])!r}"
@@ -84,61 +79,63 @@ class SymmetricMatrix:
 
 
 class ZeroPattern:
-    """Per-unit zero-partner sets, stored as int bitsets for fast intersection.
+    """Zero structure of a symmetric matrix as an n-by-n bool matrix.
 
-    ``rows[i]`` has bit j set iff entry (i, j) counted as zero. The
-    diagonal is excluded by construction and the structure is symmetric.
+    ``array[i, j]`` is True iff entry (i, j) counted as zero. The
+    diagonal is False and the matrix is symmetric; both are checked at
+    construction. The stored matrix is a private read-only copy.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_zero")
 
-    def __init__(self, rows: Sequence[int]) -> None:
-        packed = tuple(int(r) for r in rows)
-        n = len(packed)
-        if n < 1:
+    def __init__(self, zero) -> None:
+        z = np.array(zero, dtype=bool)
+        if z.ndim != 2 or z.shape[0] != z.shape[1]:
+            raise ValueError(f"zero pattern must be square, got shape {z.shape}")
+        if z.shape[0] < 1:
             raise ValueError("zero pattern must cover at least one unit")
-        limit = 1 << n
-        for i, row in enumerate(packed):
-            if row < 0 or row >= limit:
-                raise ValueError(f"row {i} references units outside 0..{n - 1}")
-            if (row >> i) & 1:
-                raise ValueError(f"unit {i} may not be its own zero partner")
-        for i, row in enumerate(packed):
-            for j in iter_bits(row):
-                if not (packed[j] >> i) & 1:
-                    raise ValueError(f"zero pattern not symmetric at ({i},{j})")
-        self.n = n
-        self._rows = packed
+        if z.diagonal().any():
+            i = int(np.flatnonzero(z.diagonal())[0])
+            raise ValueError(f"unit {i} may not be its own zero partner")
+        if not (z == z.T).all():
+            i, j = (int(x) for x in np.argwhere(z != z.T)[0])
+            raise ValueError(f"zero pattern not symmetric at ({i},{j})")
+        z.setflags(write=False)
+        self.n = int(z.shape[0])
+        self._zero = z
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only n-by-n bool zero matrix."""
+        return self._zero
 
     def _check_unit(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise ValueError(f"unit index {i} out of range for n={self.n}")
 
-    def mask(self, i: int) -> int:
-        """Bitset of zero partners of unit ``i``."""
-        self._check_unit(i)
-        return self._rows[i]
-
     def partners(self, i: int) -> tuple[int, ...]:
         """Sorted zero partners of unit ``i``."""
-        return tuple(iter_bits(self.mask(i)))
+        self._check_unit(i)
+        return tuple(np.flatnonzero(self._zero[i]).tolist())
 
     def has_zero(self, i: int, j: int) -> bool:
+        self._check_unit(i)
         self._check_unit(j)
-        return bool((self.mask(i) >> j) & 1)
+        return bool(self._zero[i, j])
 
     def zero_count(self, i: int) -> int:
-        return self.mask(i).bit_count()
+        self._check_unit(i)
+        return int(np.count_nonzero(self._zero[i]))
 
     def __repr__(self) -> str:
-        total = sum(r.bit_count() for r in self._rows) // 2
+        total = int(np.count_nonzero(self._zero)) // 2
         return f"ZeroPattern(n={self.n}, zero_pairs={total})"
 
 
 class Grouping:
     """Partition of units 0..n-1 into k >= 2 nonempty groups labeled 0..k-1."""
 
-    __slots__ = ("n", "k", "_labels", "_members", "_masks")
+    __slots__ = ("n", "k", "_labels", "_members", "_index")
 
     def __init__(self, labels: Sequence[int], k: int | None = None) -> None:
         lab = tuple(int(x) for x in labels)
@@ -163,7 +160,9 @@ class Grouping:
         self.k = int(k)
         self._labels = lab
         self._members = tuple(tuple(units) for units in members)
-        self._masks = tuple(sum(1 << i for i in units) for units in members)
+        self._index = tuple(np.array(units, dtype=np.intp) for units in members)
+        for index in self._index:
+            index.setflags(write=False)
 
     def label(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -175,10 +174,11 @@ class Grouping:
             raise ValueError(f"group {group} out of range for k={self.k}")
         return self._members[group]
 
-    def member_mask(self, group: int) -> int:
+    def member_index(self, group: int) -> np.ndarray:
+        """Ascending units of ``group`` as a read-only index array."""
         if not 0 <= group < self.k:
             raise ValueError(f"group {group} out of range for k={self.k}")
-        return self._masks[group]
+        return self._index[group]
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -208,14 +208,10 @@ def build_zero_pattern(
     i != j; the diagonal never appears regardless of its values.
     """
     tol = tolerance if isinstance(tolerance, Tolerance) else Tolerance(float(tolerance))
-    a = matrix.to_array()
-    zero = np.abs(a) <= tol.epsilon
+    a = matrix._data
+    zero = (a <= tol.epsilon) & (a >= -tol.epsilon)
     np.fill_diagonal(zero, False)
-    rows = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in zero
-    ]
-    return ZeroPattern(rows)
+    return ZeroPattern(zero)
 
 
 def zeros_toward_other_groups(
@@ -223,5 +219,6 @@ def zeros_toward_other_groups(
 ) -> int:
     """Number of zero partners of ``unit`` lying outside its own group."""
     check_consistent(zero_pattern, grouping)
-    own = grouping.member_mask(grouping.label(unit))
-    return (zero_pattern.mask(unit) & ~own).bit_count()
+    own = grouping.member_index(grouping.label(unit))
+    row = zero_pattern.array[unit]
+    return int(np.count_nonzero(row)) - int(np.count_nonzero(row[own]))

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .matrix import Grouping, ZeroPattern, check_consistent
 
 __all__ = [
@@ -81,6 +83,7 @@ class PivotResult:
     outcomes: tuple[GroupOutcome, ...]
     maxima: tuple[int, ...] | None
     identity_verified: bool
+    candidates: CandidateSet
 
     @property
     def all_found(self) -> bool:
@@ -97,16 +100,21 @@ def select_candidates(
     check_consistent(zero_pattern, grouping)
     if m_bar < 1:
         raise ValueError(f"m_bar must be >= 1, got {m_bar}")
+    zero = zero_pattern.array
     per_group = []
     for group in range(grouping.k):
-        own = grouping.member_mask(group)
-        scored = []
-        for unit in grouping.members(group):
-            cross = (zero_pattern.mask(unit) & ~own).bit_count()
-            if cross > 0:
-                scored.append(Candidate(unit, cross))
-        scored.sort(key=lambda c: (-c.cross_group_zeros, c.unit))
-        per_group.append(tuple(scored[:m_bar]))
+        units = grouping.member_index(group)
+        rows = zero[units]
+        cross = np.count_nonzero(rows, axis=1) - np.count_nonzero(rows[:, units], axis=1)
+        keep = cross > 0
+        units, cross = units[keep], cross[keep]
+        order = np.lexsort((units, -cross))[:m_bar]
+        per_group.append(
+            tuple(
+                Candidate(u, c)
+                for u, c in zip(units[order].tolist(), cross[order].tolist())
+            )
+        )
     return CandidateSet(m_bar=m_bar, per_group=tuple(per_group))
 
 
@@ -116,14 +124,18 @@ def group_partners(
     """Step two, part one: the candidate's zero partners in every other group."""
     check_consistent(zero_pattern, grouping)
     own_label = grouping.label(candidate)
-    zeros = zero_pattern.mask(candidate)
+    zeros = zero_pattern.array[candidate]
     members = {}
     for group in range(grouping.k):
         if group == own_label:
             continue
-        mask = zeros & grouping.member_mask(group)
-        members[group] = tuple(u for u in grouping.members(group) if (mask >> u) & 1)
+        units = grouping.member_index(group)
+        members[group] = tuple(units[zeros[units]].tolist())
     return PartnerGroups(candidate=candidate, members_by_group=members)
+
+
+# float64 sums of 0/1 products stay exact below this
+_FLOAT_EXACT = 2**53
 
 
 def count_identity_submatrices(
@@ -133,37 +145,44 @@ def count_identity_submatrices(
 
     Counts tuples of one unit per other group, drawn from ``partners``,
     such that every pair among them is zero (pairs with the candidate are
-    zero already, by construction of the partner sets). Enumeration walks
-    groups in ascending size order keeping the running constraint as a
-    bitset intersection, and abandons a branch as soon as any remaining
-    group has no compatible unit left.
+    zero already, by construction of the partner sets). That is the number
+    of cliques with one vertex per partner set in the zero graph. One set
+    counts its size, two count their zero block, and three count triangles
+    by a float64 matrix product; with more, each unit of the smallest set
+    is fixed in turn and the other sets shrink to its zero partners.
     """
     check_consistent(zero_pattern, grouping)
-    masks = []
-    for units in partners.members_by_group.values():
-        if not units:
-            return 0
-        masks.append(sum(1 << u for u in units))
-    masks.sort(key=lambda m: m.bit_count())
-    rows = [zero_pattern.mask(i) for i in range(zero_pattern.n)]
-    full = (1 << zero_pattern.n) - 1
-    return _count_tuples(masks, 0, full, rows)
+    sets = [np.array(units, dtype=np.intp) for units in partners.members_by_group.values()]
+    return _count_cliques(zero_pattern.array, sets)
 
 
-def _count_tuples(masks: list[int], idx: int, allowed: int, rows: list[int]) -> int:
-    if idx == len(masks) - 1:
-        return (masks[idx] & allowed).bit_count()
-    for later in masks[idx + 1 :]:
-        if later & allowed == 0:
-            return 0
-    total = 0
-    avail = masks[idx] & allowed
-    while avail:
-        low = avail & -avail
-        unit = low.bit_length() - 1
-        avail ^= low
-        total += _count_tuples(masks, idx + 1, allowed & rows[unit], rows)
-    return total
+def _count_cliques(zero: np.ndarray, sets: list[np.ndarray]) -> int:
+    if any(s.size == 0 for s in sets):
+        return 0
+    if len(sets) == 1:
+        return int(sets[0].size)
+    # blocks are taken rows first, then columns: several times faster than
+    # one np.ix_ gather
+    if len(sets) == 2:
+        a, b = sets
+        return int(np.count_nonzero(zero[a][:, b]))
+    if len(sets) == 3:
+        a, b, c = sets
+        if a.size * b.size * c.size >= _FLOAT_EXACT:
+            raise ValueError(
+                f"partner sets of sizes {a.size}, {b.size}, {c.size} are too large "
+                "for an exact count"
+            )
+        rows_a = zero[a]
+        ab = rows_a[:, b].astype(np.float64)
+        bc = zero[b][:, c].astype(np.float64)
+        return int(((ab @ bc) * rows_a[:, c]).sum())
+    sets = sorted(sets, key=len)
+    smallest, rest = sets[0], sets[1:]
+    return sum(
+        _count_cliques(zero, [s[zero[unit, s]] for s in rest])
+        for unit in smallest.tolist()
+    )
 
 
 def select_maxima(
@@ -205,7 +224,10 @@ def select_maxima(
         maxima = None
         verified = False
     return PivotResult(
-        outcomes=tuple(outcomes), maxima=maxima, identity_verified=verified
+        outcomes=tuple(outcomes),
+        maxima=maxima,
+        identity_verified=verified,
+        candidates=candidates,
     )
 
 

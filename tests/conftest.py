@@ -31,14 +31,12 @@ def permute_instance(pattern, grouping, order):
 
     n = pattern.n
     position = {old: new for new, old in enumerate(order)}
-    rows = []
+    zero = np.zeros((n, n), dtype=bool)
     for new in range(n):
-        mask = 0
         for old_partner in pattern.partners(order[new]):
-            mask |= 1 << position[old_partner]
-        rows.append(mask)
+            zero[new, position[old_partner]] = True
     labels = [grouping.label(order[new]) for new in range(n)]
-    return ZeroPattern(rows), Grouping(labels, grouping.k), position
+    return ZeroPattern(zero), Grouping(labels, grouping.k), position
 
 
 def strip_timing(csv_text: str) -> str:

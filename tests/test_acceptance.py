@@ -252,4 +252,4 @@ def test_invariant_suite():
         tight = build_zero_pattern(sym, Tolerance(float(lo)))
         loose = build_zero_pattern(sym, Tolerance(float(hi)))
         for i in range(sym.n):
-            assert tight.mask(i) & ~loose.mask(i) == 0
+            assert not (tight.array[i] & ~loose.array[i]).any()

@@ -269,3 +269,23 @@ def test_run_triplet_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", "--matrix", str(matrix), "--groups", str(groups))
     assert code == 0
     assert "maxima: 2 3" in out
+
+
+@pytest.mark.parametrize(
+    "name, text, entry",
+    [
+        ("m.csv", "1,nan,0\nnan,1,0\n0,0,1\n", "(1,2)"),
+        ("m.csv", "1,0,0\n0,1,0\n0,0,inf\n", "(3,3)"),
+        ("m.txt", "1 1 1\n2 3 -inf\n3 3 1\n", "(2,3)"),
+        ("m.txt", "1 2 nan\n3 3 1\n", "(1,2)"),
+    ],
+)
+def test_run_rejects_non_finite(tmp_path, capsys, name, text, entry):
+    matrix = tmp_path / name
+    matrix.write_text(text)
+    groups = tmp_path / "g.csv"
+    groups.write_text("1,1\n2,2\n3,2\n")
+    code, _, err = run_cli(capsys, "run", "--matrix", str(matrix), "--groups", str(groups))
+    assert code == 1
+    assert f"entry {entry} is not finite" in err
+    assert name in err

@@ -9,6 +9,8 @@ from musearch.matrix import (
     ZeroPattern,
     build_zero_pattern,
 )
+from musearch import search
+from musearch.oracle import oracle_count
 from musearch.search import (
     count_identity_submatrices,
     group_partners,
@@ -17,7 +19,7 @@ from musearch.search import (
     verify_identity,
 )
 
-from conftest import permute_instance
+from conftest import permute_instance, random_instance
 
 
 def all_ones_instance(n=6, k=2):
@@ -162,11 +164,10 @@ def instances(draw, min_n=4, max_n=12, max_k=4):
             max_size=n * (n - 1) // 2,
         )
     )
-    rows = [0] * n
+    zero = np.zeros((n, n), dtype=bool)
     for i, j in pairs:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return ZeroPattern(rows), Grouping(labels, k)
+        zero[i, j] = zero[j, i] = True
+    return ZeroPattern(zero), Grouping(labels, k)
 
 
 @given(instances(), st.integers(1, 6))
@@ -234,3 +235,38 @@ def test_search_permutation_equivariance(inst, rnd):
             assert b.selected in best
             if len(best) == 1:
                 assert b.selected == position[a.selected]
+
+
+@st.composite
+def dense_zero_instances(draw, k):
+    # zero densities up to one, so that cliques through five partner sets
+    # occur and the counts are not mostly zero
+    n = draw(st.integers(min_value=k, max_value=3 * k))
+    tail = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    density = draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return ZeroPattern(upper | upper.T), Grouping(list(range(k)) + tail, k)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_count_matches_oracle(k, data):
+    # K - 1 partner sets: size (K=2), block sum (K=3), product (K=4) and
+    # the recursion down to the product (K=5, 6)
+    pattern, grouping = data.draw(dense_zero_instances(k))
+    for unit in range(pattern.n):
+        pg = group_partners(pattern, grouping, unit)
+        assert count_identity_submatrices(pattern, grouping, pg) == oracle_count(
+            pattern, grouping, unit
+        )
+
+
+def test_product_count_refuses_inexact_sizes(monkeypatch):
+    pattern, grouping = random_instance(5, 40, 4, 0.2)
+    pg = group_partners(pattern, grouping, 0)
+    assert all(pg.members_by_group.values())
+    monkeypatch.setattr(search, "_FLOAT_EXACT", 8)
+    with pytest.raises(ValueError, match="too large for an exact count"):
+        count_identity_submatrices(pattern, grouping, pg)
