@@ -4,65 +4,57 @@ Given a symmetric matrix with a non-negligible number of zeros and a
 partition of its units into k groups, find the unit of each group that
 participates in the greatest number of k-by-k identity submatrices
 (one unit per group, all off-diagonal entries zero).
+
+The public names load their submodule, and with it numpy, on first use,
+so ``import musearch`` alone loads no numpy. That lets the command line
+(``musearch.cli``) set numpy's BLAS thread count before numpy starts.
 """
 
-from .matrix import (
-    Grouping,
-    SymmetricMatrix,
-    Tolerance,
-    ZeroPattern,
-    build_zero_pattern,
-    zeros_toward_other_groups,
-)
-from .oracle import OracleReport, oracle_count, oracle_maxima
-from .search import (
-    Candidate,
-    CandidateSet,
-    GroupOutcome,
-    PartnerGroups,
-    PivotResult,
-    count_identity_submatrices,
-    group_partners,
-    select_candidates,
-    select_maxima,
-    verify_identity,
-)
-from .simulation import (
-    ScenarioConfig,
-    ScenarioRecord,
-    ScenarioReport,
-    generate_bernoulli_matrix,
-    random_grouping,
-    run_scenario_grid,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SymmetricMatrix",
-    "ZeroPattern",
-    "Grouping",
-    "Tolerance",
-    "build_zero_pattern",
-    "zeros_toward_other_groups",
-    "Candidate",
-    "CandidateSet",
-    "PartnerGroups",
-    "GroupOutcome",
-    "PivotResult",
-    "select_candidates",
-    "group_partners",
-    "count_identity_submatrices",
-    "select_maxima",
-    "verify_identity",
-    "OracleReport",
-    "oracle_count",
-    "oracle_maxima",
-    "ScenarioConfig",
-    "ScenarioRecord",
-    "ScenarioReport",
-    "generate_bernoulli_matrix",
-    "random_grouping",
-    "run_scenario_grid",
-    "__version__",
-]
+# public name -> submodule that defines it
+_EXPORTS = {
+    "SymmetricMatrix": "matrix",
+    "ZeroPattern": "matrix",
+    "Grouping": "matrix",
+    "Tolerance": "matrix",
+    "build_zero_pattern": "matrix",
+    "zeros_toward_other_groups": "matrix",
+    "Candidate": "search",
+    "CandidateSet": "search",
+    "PartnerGroups": "search",
+    "GroupOutcome": "search",
+    "PivotResult": "search",
+    "select_candidates": "search",
+    "group_partners": "search",
+    "count_identity_submatrices": "search",
+    "select_maxima": "search",
+    "verify_identity": "search",
+    "OracleReport": "oracle",
+    "oracle_count": "oracle",
+    "oracle_maxima": "oracle",
+    "ScenarioConfig": "simulation",
+    "ScenarioRecord": "simulation",
+    "ScenarioReport": "simulation",
+    "generate_bernoulli_matrix": "simulation",
+    "random_grouping": "simulation",
+    "run_scenario_grid": "simulation",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

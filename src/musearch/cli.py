@@ -14,15 +14,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from io import StringIO
 from pathlib import Path
 
-from . import fileio, fixtures
-from .matrix import Grouping, Tolerance, ZeroPattern, build_zero_pattern
-from .oracle import oracle_maxima
-from .search import PivotResult, select_maxima
-from .simulation import ScenarioConfig, run_scenario_grid
+# OpenBLAS reads this once, when numpy loads, so it must be set before the
+# package imports below load numpy. At the sizes one run multiplies, a
+# second BLAS thread only burns CPU. A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import fileio, fixtures  # noqa: E402
+from .matrix import Grouping, Tolerance, ZeroPattern, build_zero_pattern  # noqa: E402
+from .oracle import oracle_maxima  # noqa: E402
+from .search import PivotResult, select_maxima  # noqa: E402
+from .simulation import ScenarioConfig, run_scenario_grid  # noqa: E402
 
 __all__ = ["main", "run_main", "parse_scenario_config"]
 
@@ -86,8 +92,9 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_instance(args) -> tuple[ZeroPattern, Grouping]:
-    matrix = fileio.read_matrix(args.matrix)
+    # the grouping sizes a triplet matrix, whose last units may have no entries
     grouping = fileio.read_grouping(args.groups)
+    matrix = fileio.read_matrix(args.matrix, n=grouping.n)
     if matrix.n != grouping.n:
         raise ValueError(
             f"matrix has {matrix.n} units but grouping covers {grouping.n}"

@@ -43,12 +43,15 @@ class SymmetricMatrix:
 
     Non-finite and asymmetric input is rejected at construction; the
     error names the first offending entry (1-based, as in reports).
+    The matrix keeps a private read-only copy of ``data``.
     """
 
     __slots__ = ("n", "_data")
 
-    def __init__(self, data) -> None:
-        a = np.array(data, dtype=float)
+    def __init__(self, data, *, _owned: bool = False) -> None:
+        # the parsers pass _owned=True to hand over the float64 array they
+        # just built, which no one else holds, instead of a second copy
+        a = data if _owned else np.array(data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:

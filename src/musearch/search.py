@@ -134,8 +134,10 @@ def group_partners(
     return PartnerGroups(candidate=candidate, members_by_group=members)
 
 
-# float64 sums of 0/1 products stay exact below this
-_FLOAT_EXACT = 2**53
+# float32 holds every integer below this exactly, and an entry of
+# Z[A,B] @ Z[B,C] is at most |B|. The int64 sum is at most |A|·|B|·|C|,
+# far below 2^63 for any zero matrix that fits in memory.
+_FLOAT32_EXACT = 2**24
 
 
 def count_identity_submatrices(
@@ -148,8 +150,9 @@ def count_identity_submatrices(
     zero already, by construction of the partner sets). That is the number
     of cliques with one vertex per partner set in the zero graph. One set
     counts its size, two count their zero block, and three count triangles
-    by a float64 matrix product; with more, each unit of the smallest set
-    is fixed in turn and the other sets shrink to its zero partners.
+    by a float32 matrix product summed in int64; with more, each unit of
+    the smallest set is fixed in turn and the other sets shrink to its zero
+    partners.
     """
     check_consistent(zero_pattern, grouping)
     sets = [np.array(units, dtype=np.intp) for units in partners.members_by_group.values()]
@@ -168,15 +171,15 @@ def _count_cliques(zero: np.ndarray, sets: list[np.ndarray]) -> int:
         return int(np.count_nonzero(zero[a][:, b]))
     if len(sets) == 3:
         a, b, c = sets
-        if a.size * b.size * c.size >= _FLOAT_EXACT:
+        if b.size >= _FLOAT32_EXACT:
             raise ValueError(
                 f"partner sets of sizes {a.size}, {b.size}, {c.size} are too large "
                 "for an exact count"
             )
         rows_a = zero[a]
-        ab = rows_a[:, b].astype(np.float64)
-        bc = zero[b][:, c].astype(np.float64)
-        return int(((ab @ bc) * rows_a[:, c]).sum())
+        ab = rows_a[:, b].astype(np.float32)
+        bc = zero[b][:, c].astype(np.float32)
+        return int(((ab @ bc) * rows_a[:, c]).sum(dtype=np.int64))
     sets = sorted(sets, key=len)
     smallest, rest = sets[0], sets[1:]
     return sum(

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import musearch
 from musearch.fixtures import load
 from musearch.matrix import build_zero_pattern
 from musearch.simulation import generate_bernoulli_matrix, random_grouping
@@ -46,3 +52,21 @@ def strip_timing(csv_text: str) -> str:
 
 
 np.seterr(all="warn")
+
+
+def run_fresh_python(code: str, **env: str | None) -> str:
+    """Stdout of ``python -c code`` in a new process that imports this
+    package; each ``env`` item sets a variable, or unsets it when None."""
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(musearch.__file__).parents[1]), environ.get("PYTHONPATH")])
+    )
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    return subprocess.run(
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout

@@ -7,7 +7,7 @@ import pytest
 from musearch.cli import main, parse_scenario_config
 from musearch.fixtures import extract
 
-from conftest import strip_timing
+from conftest import run_fresh_python, strip_timing
 
 
 @pytest.fixture
@@ -269,6 +269,30 @@ def test_run_triplet_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", "--matrix", str(matrix), "--groups", str(groups))
     assert code == 0
     assert "maxima: 2 3" in out
+
+
+def test_run_triplets_last_unit_without_entries(tmp_path, capsys):
+    # unit 4 is listed nowhere, so all its entries are zero; the grouping
+    # says it exists
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 1 1\n1 2 1\n1 3 1\n2 2 1\n3 3 1\n")
+    groups = tmp_path / "g.csv"
+    groups.write_text("1,1\n2,1\n3,2\n4,2\n")
+    code, out, _ = run_cli(capsys, "run", "--matrix", str(matrix), "--groups", str(groups))
+    assert code == 0
+    assert "group 2: unit 4  count=2  [found]" in out
+    assert "maxima: 2 4" in out
+
+
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_cli_sets_one_blas_thread_unless_set(user_value):
+    # OpenBLAS reads the variable when numpy loads, so only a fresh
+    # process shows what importing the CLI does
+    out = run_fresh_python(
+        "import os, musearch.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+        OPENBLAS_NUM_THREADS=user_value,
+    )
+    assert out.strip() == (user_value or "1")
 
 
 @pytest.mark.parametrize(

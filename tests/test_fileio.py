@@ -139,3 +139,22 @@ def test_read_matrix_names_file_in_errors(tmp_path):
     path.write_text("1,0\noops,1\n")
     with pytest.raises(ValueError, match=r"bad\.csv:2"):
         read_matrix(path)
+
+
+def test_read_triplets_sized_by_n(tmp_path):
+    # read from the path; blank lines are skipped and the unlisted last
+    # unit is kept as all zeros
+    path = tmp_path / "m.txt"
+    path.write_text("\n1 1 1\n  \n2 1 0.5\n\t\n2 2 1\n")
+    m = read_matrix(path, n=3)
+    assert m.n == 3
+    assert m.entry(0, 1) == 0.5
+    assert not m.to_array()[2].any()
+    assert read_matrix(path).n == 2
+
+
+def test_read_triplets_index_beyond_n(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("1 1 1\n2 2 1\n3 1 1\n")
+    with pytest.raises(ValueError, match=r"m\.txt:3: entry \(3,1\) out of range for n=2"):
+        read_matrix(path, n=2)

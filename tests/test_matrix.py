@@ -156,3 +156,11 @@ def test_pattern_permutation_equivariance(m, rnd):
     for new, old in enumerate(order):
         expected = {position[p] for p in base.partners(old)}
         assert set(moved.partners(new)) == expected
+
+
+def test_symmetric_matrix_copies_its_input():
+    data = np.eye(2)
+    m = SymmetricMatrix(data)
+    data[0, 1] = data[1, 0] = 5.0
+    assert m.entry(0, 1) == 0.0
+    assert data.flags.writeable

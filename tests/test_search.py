@@ -267,6 +267,8 @@ def test_product_count_refuses_inexact_sizes(monkeypatch):
     pattern, grouping = random_instance(5, 40, 4, 0.2)
     pg = group_partners(pattern, grouping, 0)
     assert all(pg.members_by_group.values())
-    monkeypatch.setattr(search, "_FLOAT_EXACT", 8)
+    # every set, the middle one of the product included, reaches the bound
+    smallest = min(len(units) for units in pg.members_by_group.values())
+    monkeypatch.setattr(search, "_FLOAT32_EXACT", smallest)
     with pytest.raises(ValueError, match="too large for an exact count"):
         count_identity_submatrices(pattern, grouping, pg)
