@@ -47,8 +47,13 @@ _EXPORTS = {
 
 __all__ = [*_EXPORTS, "__version__"]
 
+# submodules reachable as attributes of the package, as ``musearch.search``
+_SUBMODULES = frozenset(_EXPORTS.values())
+
 
 def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
@@ -57,4 +62,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -12,10 +12,11 @@ labels 1..k.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import itertools
 import math
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,43 +39,40 @@ def _numbered_lines(lines: Iterable[str]):
             yield lineno, line
 
 
-def parse_matrix_text(
-    text: str, source: str = "<matrix>", n: int | None = None
-) -> SymmetricMatrix:
-    return _parse_matrix(lambda: io.StringIO(text), source, n)
+def parse_matrix_text(text: str, source: str = "<matrix>") -> SymmetricMatrix:
+    return _parse_matrix(lambda: contextlib.nullcontext(text.splitlines()), source)
 
 
 def _parse_matrix(
-    open_file: Callable[[], TextIO],
+    open_lines: Callable[[], contextlib.AbstractContextManager[Iterable[str]]],
     source: str,
-    n: int | None,
+    n: int | None = None,
     path: Path | None = None,
 ) -> SymmetricMatrix:
     """Parse with numpy; when numpy refuses, rescan the lines to name the bad one.
 
-    Given the file's ``path``, loadtxt reads triplets in large chunks,
-    several times faster than from an open file, which it reads by lines.
+    Given the ``path`` of a regular file, loadtxt reads triplets from it in
+    large chunks, several times faster than from lines.
     """
-    with open_file() as handle:
-        first = next((line for line in handle if line.strip()), None)
+    with open_lines() as handle:
+        nonblank = (line for line in handle if line.strip())
+        first = next(nonblank, None)
         if first is None:
             raise ValueError(f"{source}: no matrix entries found")
         # Commas mean a dense CSV; bare whitespace means triplets.
         dense = "," in first
-        handle.seek(0)
+        lines = itertools.chain([first], nonblank)
         try:
             if dense:
-                # with a comma delimiter, loadtxt rejects whitespace-only lines
-                nonblank = (line for line in handle if line.strip())
                 a = np.loadtxt(
-                    nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2
+                    lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2
                 )
             else:
-                a = _load_triplets(handle if path is None else path, n)
+                a = _load_triplets(lines if path is None else path, n)
         except ValueError as exc:
             a, reason = None, str(exc)
     if a is None:
-        with open_file() as lines:
+        with open_lines() as lines:
             if dense:
                 _check_dense(_numbered_lines(lines), source)
             else:
@@ -89,8 +87,8 @@ def _parse_matrix(
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
 
 
-def _load_triplets(file: TextIO | Path, n: int | None) -> np.ndarray:
-    t = np.loadtxt(file, dtype=_TRIPLET, comments=None, ndmin=1)
+def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
+    t = np.loadtxt(source, dtype=_TRIPLET, comments=None, ndmin=1)
     i, j, value = t["i"] - 1, t["j"] - 1, t["value"]
     if min(i.min(), j.min()) < 0 or not np.isfinite(value).all():
         raise ValueError("invalid triplet")
@@ -203,7 +201,9 @@ def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
 def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
     """Read a dense CSV or triplet matrix; ``n`` sizes a triplet matrix."""
     path = Path(path)
-    return _parse_matrix(path.open, str(path), n, path)
+    # a pipe can be read only once, so only a regular file goes to loadtxt
+    # by path; the sniffed lines carry the rest
+    return _parse_matrix(path.open, str(path), n, path if path.is_file() else None)
 
 
 def read_grouping(path: str | Path) -> Grouping:

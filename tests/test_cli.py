@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import threading
 
 import pytest
 
@@ -282,6 +284,31 @@ def test_run_triplets_last_unit_without_entries(tmp_path, capsys):
     assert code == 0
     assert "group 2: unit 4  count=2  [found]" in out
     assert "maxima: 2 4" in out
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("m.csv", "1,1,1,0\n1,1,0,0\n1,0,1,0\n0,0,0,1\n"),
+        ("m.txt", "1 1 1\n1 2 1\n\n1 3 1\n2 2 1\n3 3 1\n4 4 1\n"),
+    ],
+    ids=["dense", "triplets"],
+)
+def test_run_reads_matrix_from_pipe(tmp_path, capsys, name, text):
+    # a pipe can be read only once, as with --matrix <(zcat m.csv.gz)
+    groups = tmp_path / "g.csv"
+    groups.write_text("1,1\n2,1\n3,2\n4,2\n")
+    matrix = tmp_path / name
+    matrix.write_text(text)
+    expected = run_cli(capsys, "run", "--matrix", str(matrix), "--groups", str(groups))
+    fifo = tmp_path / f"fifo-{name}"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    got = run_cli(capsys, "run", "--matrix", str(fifo), "--groups", str(groups))
+    writer.join(timeout=10)
+    assert expected[0] == 0
+    assert got == expected
 
 
 @pytest.mark.parametrize("user_value", [None, "2"])

@@ -21,3 +21,12 @@ def test_public_names_resolve_to_their_modules():
             assert getattr(owner, name) is value
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         musearch.nope
+
+
+def test_submodules_resolve_as_attributes():
+    out = run_fresh_python(
+        "import musearch; print(musearch.search.select_maxima is musearch.select_maxima)"
+    )
+    assert out.strip() == "True"
+    for name in ("matrix", "search", "oracle", "simulation"):
+        assert getattr(musearch, name) is importlib.import_module(f"musearch.{name}")
