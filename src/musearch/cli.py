@@ -18,6 +18,7 @@ import os
 import sys
 from io import StringIO
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # OpenBLAS reads this once, when numpy loads, so it must be set before the
 # package imports below load numpy. On inputs up to N = 2000 with K <= 5, a
@@ -27,9 +28,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio, fixtures  # noqa: E402
 from .matrix import Grouping, Tolerance, ZeroPattern, build_zero_pattern  # noqa: E402
-from .oracle import oracle_maxima  # noqa: E402
 from .search import PivotResult, select_maxima  # noqa: E402
-from .simulation import ScenarioConfig, run_scenario_grid  # noqa: E402
+
+# The oracle and simulation modules, and the statistics, decimal and fractions
+# modules they load, are imported by the subcommands that use them, so that
+# `musearch run` does not pay for them.
+if TYPE_CHECKING:
+    from .simulation import ScenarioConfig
 
 __all__ = ["main", "run_main", "parse_scenario_config"]
 
@@ -175,6 +180,8 @@ def _run_csv(result: PivotResult, cross: dict[int, int]) -> str:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_maxima
+
     pattern, grouping = _load_instance(args)
     report = oracle_maxima(pattern, grouping)
     # the search is exact on candidates, so at full budget its pick must
@@ -263,6 +270,8 @@ def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig
     Keys: n, k, m_bar, p (required grids), seed (default 0) and
     repetitions (default 1). ``#`` starts a comment.
     """
+    from .simulation import ScenarioConfig
+
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -298,6 +307,8 @@ def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import run_scenario_grid
+
     text = Path(args.config).read_text()
     cfg = parse_scenario_config(text, source=str(args.config))
     if args.seed is not None:

@@ -12,7 +12,7 @@ labels 1..k.
 
 from __future__ import annotations
 
-import contextlib
+import io
 import itertools
 import math
 from pathlib import Path
@@ -40,48 +40,114 @@ def _numbered_lines(lines: Iterable[str]):
 
 
 def parse_matrix_text(text: str, source: str = "<matrix>") -> SymmetricMatrix:
-    return _parse_matrix(lambda: contextlib.nullcontext(text.splitlines()), source)
+    # the byte reader takes only ASCII; "?" stands in for anything else
+    return _parse_matrix(text.encode("ascii", "replace"), text.splitlines, source)
 
 
 def _parse_matrix(
-    open_lines: Callable[[], contextlib.AbstractContextManager[Iterable[str]]],
+    data: bytes,
+    lines: Callable[[], Iterable[str]],
     source: str,
     n: int | None = None,
     path: Path | None = None,
 ) -> SymmetricMatrix:
-    """Parse with numpy; when numpy refuses, rescan the lines to name the bad one.
+    """Parse ``data``, whose text ``lines`` yields, into a matrix.
 
-    Given the ``path`` of a regular file, loadtxt reads triplets from it in
-    large chunks, several times faster than from lines.
+    A dense CSV whose fields all have one width is read from its bytes;
+    any other input goes to numpy. Given the ``path`` of a regular file,
+    loadtxt reads triplets from it in large chunks, several times faster
+    than from lines.
     """
-    with open_lines() as handle:
-        nonblank = (line for line in handle if line.strip())
-        first = next(nonblank, None)
-        if first is None:
-            raise ValueError(f"{source}: no matrix entries found")
-        # Commas mean a dense CSV; bare whitespace means triplets.
-        dense = "," in first
-        lines = itertools.chain([first], nonblank)
-        try:
-            if dense:
-                a = np.loadtxt(
-                    lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2
-                )
-            else:
-                a = _load_triplets(lines if path is None else path, n)
-        except ValueError as exc:
-            a, reason = None, str(exc)
+    a = _load_fixed_width(data)
     if a is None:
-        with open_lines() as lines:
-            if dense:
-                _check_dense(_numbered_lines(lines), source)
-            else:
-                _check_triplets(_numbered_lines(lines), source, n)
-        raise ValueError(f"{source}: unreadable matrix: {reason}")
+        a = _load_lines(lines, source, n, path)
     try:
         return SymmetricMatrix(a, _owned=True)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
+
+
+def _load_lines(
+    lines: Callable[[], Iterable[str]], source: str, n: int | None, path: Path | None
+) -> np.ndarray:
+    """Parse with numpy; when numpy refuses, rescan the lines to name the bad one."""
+    nonblank = (line for line in lines() if line.strip())
+    first = next(nonblank, None)
+    if first is None:
+        raise ValueError(f"{source}: no matrix entries found")
+    # Commas mean a dense CSV; bare whitespace means triplets.
+    dense = "," in first
+    rest = itertools.chain([first], nonblank)
+    try:
+        if dense:
+            return np.loadtxt(rest, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        return _load_triplets(rest if path is None else path, n)
+    except ValueError as exc:
+        reason = str(exc)
+    if dense:
+        _check_dense(_numbered_lines(lines()), source)
+    else:
+        _check_triplets(_numbered_lines(lines()), source, n)
+    raise ValueError(f"{source}: unreadable matrix: {reason}")
+
+
+# A mantissa m of at most 15 digits is below 10**15 < 2**53, so m and 10**k
+# are exact in float64 and the one division m / 10**k rounds correctly
+# (Clinger's fast path): it is the value loadtxt parses.
+_EXACT_DIGITS = 15
+# fields converted at a time, which bounds the float64 temporaries
+_BLOCK_FIELDS = 1 << 20
+
+
+def _load_fixed_width(data: bytes) -> np.ndarray | None:
+    """Dense CSV read from its bytes, or None when it has another layout.
+
+    Taken only when every field has the width w of the first, every byte
+    in a field is an ASCII digit except for a '.' at one position shared by
+    all fields, a field has at most 15 digits, and every row holds the same
+    two or more fields, separated by ',' and ended by '\\n' (optional at the
+    end of the data); a row of one field has no comma and reads as triplets.
+    That is what ``write_matrix_csv`` writes for a 0/1 matrix.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    width = data.find(b",")
+    if width < 1:
+        return None
+    stride = width + 1
+    cols, rest = divmod(data.find(b"\n") + 1, stride)
+    if rest or cols < 2:
+        return None
+    rows, rest = divmod(len(data), stride * cols)
+    dot = data.find(b".", 0, width)
+    if rest or not 1 <= width - (dot >= 0) <= _EXACT_DIGITS:
+        return None
+    separators = np.full(cols, ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    fields = np.frombuffer(data, dtype=np.uint8).reshape(rows * cols, stride)
+    digit_columns = [c for c in range(width) if c != dot]
+    power = float(10 ** (width - 1 - dot)) if dot >= 0 else 1.0
+    out = np.empty(rows * cols)
+    step = max(1, _BLOCK_FIELDS // cols) * cols
+    for start in range(0, rows * cols, step):
+        block = fields[start : start + step]
+        if not (block[:, width].reshape(-1, cols) == separators).all():
+            return None
+        if dot >= 0 and not (block[:, dot] == ord(".")).all():
+            return None
+        value = out[start : start + step]
+        for c in digit_columns:
+            digit = block[:, c] - ord("0")  # uint8: bytes below '0' wrap past 9
+            if not (digit < 10).all():
+                return None
+            if c == digit_columns[0]:
+                value[:] = digit
+            else:
+                value *= 10
+                value += digit
+        if power != 1.0:
+            value /= power
+    return out.reshape(rows, cols)
 
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
@@ -201,9 +267,17 @@ def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
 def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
     """Read a dense CSV or triplet matrix; ``n`` sizes a triplet matrix."""
     path = Path(path)
-    # a pipe can be read only once, so only a regular file goes to loadtxt
-    # by path; the sniffed lines carry the rest
-    return _parse_matrix(path.open, str(path), n, path if path.is_file() else None)
+    # Read once: a pipe cannot be read again, so the format sniff, the parse
+    # and the rescan that names a bad line all work on these bytes. Only
+    # triplets in a regular file go to loadtxt by path.
+    data = path.read_bytes()
+    return _parse_matrix(
+        data,
+        lambda: io.TextIOWrapper(io.BytesIO(data)),
+        str(path),
+        n,
+        path if path.is_file() else None,
+    )
 
 
 def read_grouping(path: str | Path) -> Grouping:

@@ -91,8 +91,10 @@ class ZeroPattern:
 
     __slots__ = ("n", "_zero")
 
-    def __init__(self, zero) -> None:
-        z = np.array(zero, dtype=bool)
+    def __init__(self, zero, *, _owned: bool = False) -> None:
+        # build_zero_pattern passes _owned=True to hand over the bool matrix
+        # it just built, which no one else holds, instead of a second copy
+        z = zero if _owned else np.array(zero, dtype=bool)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError(f"zero pattern must be square, got shape {z.shape}")
         if z.shape[0] < 1:
@@ -214,7 +216,7 @@ def build_zero_pattern(
     a = matrix._data
     zero = (a <= tol.epsilon) & (a >= -tol.epsilon)
     np.fill_diagonal(zero, False)
-    return ZeroPattern(zero)
+    return ZeroPattern(zero, _owned=True)
 
 
 def zeros_toward_other_groups(

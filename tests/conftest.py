@@ -54,9 +54,11 @@ def strip_timing(csv_text: str) -> str:
 np.seterr(all="warn")
 
 
-def run_fresh_python(code: str, **env: str | None) -> str:
-    """Stdout of ``python -c code`` in a new process that imports this
-    package; each ``env`` item sets a variable, or unsets it when None."""
+def fresh_python(args: list[str], timeout: float = 60, **env: str | None):
+    """``python *args`` in a new process that imports this package, with
+    its output captured; each ``env`` item sets a variable, or unsets it
+    when None. A process still running after ``timeout`` seconds is killed
+    and raises ``subprocess.TimeoutExpired``."""
     environ = dict(os.environ)
     environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(musearch.__file__).parents[1]), environ.get("PYTHONPATH")])
@@ -67,6 +69,14 @@ def run_fresh_python(code: str, **env: str | None) -> str:
         else:
             environ[name] = value
     return subprocess.run(
-        [sys.executable, "-c", code], env=environ, capture_output=True, text=True,
-        check=True, timeout=60,
-    ).stdout
+        [sys.executable, *args], env=environ, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
+def run_fresh_python(code: str, **env: str | None) -> str:
+    """Stdout of ``python -c code`` in a new process (see ``fresh_python``);
+    a non-zero exit raises."""
+    done = fresh_python(["-c", code], **env)
+    done.check_returncode()
+    return done.stdout

@@ -9,7 +9,7 @@ import pytest
 from musearch.cli import main, parse_scenario_config
 from musearch.fixtures import extract
 
-from conftest import run_fresh_python, strip_timing
+from conftest import fresh_python, run_fresh_python, strip_timing
 
 
 @pytest.fixture
@@ -309,6 +309,31 @@ def test_run_reads_matrix_from_pipe(tmp_path, capsys, name, text):
     writer.join(timeout=10)
     assert expected[0] == 0
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1,0\nx,1\n", ":2: invalid number 'x'"), ("1 1 1\n2 x 1\n", ":2: invalid triplet '2 x 1'")],
+    ids=["dense", "triplets"],
+)
+def test_run_names_bad_line_of_pipe(tmp_path, text, message):
+    # naming the bad line must not read the pipe again: its writer is gone,
+    # so a second open would block for ever. The run gets its own process,
+    # so that such a hang fails the test when the timeout kills it.
+    groups = tmp_path / "g.csv"
+    groups.write_text("1,1\n2,2\n")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    done = fresh_python(
+        ["-m", "musearch.cli", "run", "--matrix", str(fifo), "--groups", str(groups)],
+        timeout=20,
+    )
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert done.returncode == 1
+    assert f"error: {fifo}{message}" in done.stderr
 
 
 @pytest.mark.parametrize("user_value", [None, "2"])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from musearch.fileio import (
+    _load_fixed_width,
     parse_grouping_text,
     parse_matrix_text,
     read_grouping,
@@ -158,3 +161,88 @@ def test_read_triplets_index_beyond_n(tmp_path):
     path.write_text("1 1 1\n2 2 1\n3 1 1\n")
     with pytest.raises(ValueError, match=r"m\.txt:3: entry \(3,1\) out of range for n=2"):
         read_matrix(path, n=2)
+
+
+@st.composite
+def fixed_width_csv(draw, digit_counts=st.integers(0, 16), min_lines=1, min_cols=1):
+    """CSV text whose fields all have one width, with a '.' at one shared
+    position or none; also the digits in a field and the columns."""
+    digits = draw(digit_counts)
+    dot = draw(st.one_of(st.none(), st.integers(0, digits)) if digits else st.just(0))
+    lines, cols = draw(st.integers(min_lines, 4)), draw(st.integers(min_cols, 4))
+    fields = []
+    for _ in range(lines * cols):
+        mantissa = str(draw(st.integers(0, 10**digits - 1))).zfill(digits) if digits else ""
+        fields.append(mantissa if dot is None else mantissa[:dot] + "." + mantissa[dot:])
+    rows = [",".join(fields[r * cols : (r + 1) * cols]) for r in range(lines)]
+    return "\n".join(rows) + draw(st.sampled_from(["\n", ""])), digits, cols
+
+
+@given(fixed_width_csv())
+@settings(max_examples=300)
+def test_fixed_width_matches_loadtxt(case):
+    text, digits, cols = case
+    got = _load_fixed_width(text.encode())
+    # one column has no comma, which makes the file triplets; 16 digits may
+    # not be exact in a float64 mantissa
+    if cols == 1 or not 1 <= digits <= 15:
+        assert got is None
+        return
+    want = np.loadtxt(text.splitlines(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _insert(text, at, piece):
+    return text[:at] + piece + text[at:]
+
+
+# each takes text of two or more lines and a position in it
+_NEAR_MISSES = {
+    "crlf": lambda text, at: text.replace("\n", "\r\n", 1),
+    "space": lambda text, at: _insert(text, at, " "),
+    "sign": lambda text, at: "-" + text,
+    "exponent": lambda text, at: _insert(text, at, "e"),
+    "two dots": lambda text, at: _insert(text, at, "."),
+    "ragged": lambda text, at: text.replace("\n", "," + text.split(",", 1)[0] + "\n", 1),
+    "blank line": lambda text, at: text.replace("\n", "\n\n", 1),
+}
+
+
+@given(
+    fixed_width_csv(st.integers(1, 15), min_lines=2, min_cols=2),
+    st.sampled_from(sorted(_NEAR_MISSES)),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_fixed_width_refuses_near_misses(case, miss, data):
+    text, _, _ = case
+    at = data.draw(st.integers(0, len(text)))
+    assert _load_fixed_width(_NEAR_MISSES[miss](text, at).encode()) is None
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1.0,0.5\r\n0.5,1.0\r\n", [[1.0, 0.5], [0.5, 1.0]]),
+        ("1.0, 0.5\n0.5,1.0\n", [[1.0, 0.5], [0.5, 1.0]]),
+        ("+1.0,0.5\n0.5,1.0\n", [[1.0, 0.5], [0.5, 1.0]]),
+        ("-0.0,1.0\n1.0,-0.0\n", [[-0.0, 1.0], [1.0, -0.0]]),
+        ("1e0,5e-1\n5e-1,1e0\n", [[1.0, 0.5], [0.5, 1.0]]),
+        ("1.0,0.5\n\n0.5,1.0\n", [[1.0, 0.5], [0.5, 1.0]]),
+        ("1.000000000000001,0.000000000000000\n0.000000000000000,1.000000000000001\n",
+         [[1.000000000000001, 0.0], [0.0, 1.000000000000001]]),
+        ("1..0,0.0\n0.0,1.0\n", r"<matrix>:1: invalid number '1\.\.0'"),
+        ("1.0,0.0\n0.0,1.0,0.0\n", r"<matrix>:2: expected 2 columns, found 3"),
+        ("1,\ud800\n0,1\n", r"<matrix>:1: invalid number '\\ud800'"),
+        ("1,\u0660\n\u0660,1\n", r"^<matrix>: unreadable matrix"),
+    ],
+)
+def test_parse_dense_near_miss_takes_loadtxt_path(text, expected):
+    assert _load_fixed_width(text.encode("utf-8", "surrogatepass")) is None
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            parse_matrix_text(text)
+    else:
+        got = parse_matrix_text(text).to_array()
+        assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))

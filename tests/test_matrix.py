@@ -164,3 +164,13 @@ def test_symmetric_matrix_copies_its_input():
     data[0, 1] = data[1, 0] = 5.0
     assert m.entry(0, 1) == 0.0
     assert data.flags.writeable
+
+
+def test_zero_pattern_copies_its_input():
+    zero = ~np.eye(2, dtype=bool)
+    pattern = ZeroPattern(zero)
+    zero[0, 1] = zero[1, 0] = False
+    assert pattern.has_zero(0, 1)
+    assert zero.flags.writeable
+    # build_zero_pattern hands over the matrix it built, still read-only
+    assert not build_zero_pattern(SymmetricMatrix(np.eye(2))).array.flags.writeable

@@ -12,6 +12,15 @@ def test_import_loads_no_numpy():
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_out_simulation_and_oracle():
+    # `musearch run` needs neither, nor the statistics module behind them
+    out = run_fresh_python(
+        "import sys, musearch.cli; print(sorted("
+        "{'musearch.simulation', 'musearch.oracle', 'statistics'} & set(sys.modules)))"
+    )
+    assert out.strip() == "[]"
+
+
 def test_public_names_resolve_to_their_modules():
     assert set(musearch.__all__) <= set(dir(musearch))
     for name in musearch.__all__:
