@@ -58,11 +58,10 @@ def _parse_matrix(
     loadtxt reads triplets from it in large chunks, several times faster
     than from lines.
     """
-    a = _load_fixed_width(data)
-    if a is None:
-        a = _load_lines(lines, source, n, path)
+    fixed = _load_fixed_width(data)
+    a, scale = (_load_lines(lines, source, n, path), 1) if fixed is None else fixed
     try:
-        return SymmetricMatrix(a, _owned=True)
+        return SymmetricMatrix(a, _owned=True, _scale=scale)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
@@ -93,14 +92,16 @@ def _load_lines(
 
 # A mantissa m of at most 15 digits is below 10**15 < 2**53, so m and 10**k
 # are exact in float64 and the one division m / 10**k rounds correctly
-# (Clinger's fast path): it is the value loadtxt parses.
+# (Clinger's fast path): it is the value loadtxt parses. SymmetricMatrix
+# keeps m and 10**k and divides only where a value is asked for.
 _EXACT_DIGITS = 15
-# fields converted at a time, which bounds the float64 temporaries
+# fields converted at a time, which bounds the temporaries
 _BLOCK_FIELDS = 1 << 20
+_MANTISSA_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
-def _load_fixed_width(data: bytes) -> np.ndarray | None:
-    """Dense CSV read from its bytes, or None when it has another layout.
+def _load_fixed_width(data: bytes) -> tuple[np.ndarray, int] | None:
+    """Dense CSV kept as its decimal digits, or None when it has another layout.
 
     Taken only when every field has the width w of the first, every byte
     in a field is an ASCII digit except for a '.' at one position shared by
@@ -108,6 +109,10 @@ def _load_fixed_width(data: bytes) -> np.ndarray | None:
     two or more fields, separated by ',' and ended by '\\n' (optional at the
     end of the data); a row of one field has no comma and reads as triplets.
     That is what ``write_matrix_csv`` writes for a 0/1 matrix.
+
+    Returns the mantissas m, in the narrowest unsigned dtype that holds
+    them, and the scale 10**k, k the digits after the '.': each value is
+    m / 10**k.
     """
     if not data.endswith(b"\n"):
         data += b"\n"
@@ -120,14 +125,16 @@ def _load_fixed_width(data: bytes) -> np.ndarray | None:
         return None
     rows, rest = divmod(len(data), stride * cols)
     dot = data.find(b".", 0, width)
-    if rest or not 1 <= width - (dot >= 0) <= _EXACT_DIGITS:
+    digits = width - (dot >= 0)
+    if rest or not 1 <= digits <= _EXACT_DIGITS:
         return None
     separators = np.full(cols, ord(","), dtype=np.uint8)
     separators[-1] = ord("\n")
     fields = np.frombuffer(data, dtype=np.uint8).reshape(rows * cols, stride)
     digit_columns = [c for c in range(width) if c != dot]
-    power = float(10 ** (width - 1 - dot)) if dot >= 0 else 1.0
-    out = np.empty(rows * cols)
+    # the narrowest unsigned dtype that holds every mantissa below 10**digits
+    dtype = next(t for t in _MANTISSA_DTYPES if 10**digits <= np.iinfo(t).max)
+    out = np.empty(rows * cols, dtype=dtype)
     step = max(1, _BLOCK_FIELDS // cols) * cols
     for start in range(0, rows * cols, step):
         block = fields[start : start + step]
@@ -145,9 +152,7 @@ def _load_fixed_width(data: bytes) -> np.ndarray | None:
             else:
                 value *= 10
                 value += digit
-        if power != 1.0:
-            value /= power
-    return out.reshape(rows, cols)
+    return out.reshape(rows, cols), 10 ** (width - 1 - dot if dot >= 0 else 0)
 
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])

@@ -7,6 +7,7 @@ I/O boundary only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,39 +47,66 @@ class SymmetricMatrix:
     The matrix keeps a private read-only copy of ``data``.
     """
 
-    __slots__ = ("n", "_data")
+    __slots__ = ("n", "_data", "_scale")
 
-    def __init__(self, data, *, _owned: bool = False) -> None:
-        # the parsers pass _owned=True to hand over the float64 array they
-        # just built, which no one else holds, instead of a second copy
+    def __init__(self, data, *, _owned: bool = False, _scale: int = 1) -> None:
+        # The parsers pass _owned=True to hand over the array they just
+        # built, which no one else holds, instead of a second copy. A fixed-
+        # width CSV comes as unsigned decimal mantissas m with _scale=10**k,
+        # each value being m / 10**k; m / 10**k is injective for m < 10**15,
+        # so symmetry holds for the values iff it holds for the mantissas.
         a = data if _owned else np.array(data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix must contain at least one unit")
-        finite = np.isfinite(a)
-        if not finite.all():
-            i, j = (int(x) for x in np.argwhere(~finite)[0])
-            raise ValueError(f"matrix entry ({i + 1},{j + 1}) is not finite")
-        if not (a == a.T).all():
-            i, j = (int(x) for x in np.argwhere(a != a.T)[0])
-            raise ValueError(
-                f"matrix not symmetric: entry ({i + 1},{j + 1}) is "
-                f"{float(a[i, j])!r} but ({j + 1},{i + 1}) is {float(a[j, i])!r}"
-            )
+        if a.dtype.kind == "f":
+            finite = np.isfinite(a)
+            if not finite.all():
+                i, j = (int(x) for x in np.argwhere(~finite)[0])
+                raise ValueError(f"matrix entry ({i + 1},{j + 1}) is not finite")
         a.setflags(write=False)
         self.n = int(a.shape[0])
         self._data = a
+        self._scale = _scale
+        asymmetric = _asymmetric_entry(a)
+        if asymmetric is not None:
+            i, j = asymmetric
+            raise ValueError(
+                f"matrix not symmetric: entry ({i + 1},{j + 1}) is "
+                f"{self.entry(i, j)!r} but ({j + 1},{i + 1}) is {self.entry(j, i)!r}"
+            )
 
     def entry(self, i: int, j: int) -> float:
-        return float(self._data[i, j])
+        # float(m) / 10**k is the correctly rounded m / 10**k
+        return float(self._data[i, j]) / self._scale
 
     def to_array(self) -> np.ndarray:
-        """Copy of the underlying n-by-n array."""
-        return self._data.copy()
+        """The n-by-n values as a new float64 array."""
+        return np.true_divide(self._data, self._scale, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(n={self.n})"
+
+
+_TILE = 256
+
+
+def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
+    """The first (i, j) in row order with a[i, j] != a[j, i], or None.
+
+    Compares tiles above the diagonal with their mirror tiles, which keeps
+    both in cache where ``a == a.T`` strides down whole columns; only a
+    mismatch pays for the full scan that finds the first entry.
+    """
+    n = a.shape[0]
+    for lo in range(0, n, _TILE):
+        for hi in range(lo, n, _TILE):
+            upper = a[lo : lo + _TILE, hi : hi + _TILE]
+            if not (upper == a[hi : hi + _TILE, lo : lo + _TILE].T).all():
+                i, j = np.argwhere(a != a.T)[0]
+                return int(i), int(j)
+    return None
 
 
 class ZeroPattern:
@@ -102,8 +130,9 @@ class ZeroPattern:
         if z.diagonal().any():
             i = int(np.flatnonzero(z.diagonal())[0])
             raise ValueError(f"unit {i} may not be its own zero partner")
-        if not (z == z.T).all():
-            i, j = (int(x) for x in np.argwhere(z != z.T)[0])
+        asymmetric = _asymmetric_entry(z)
+        if asymmetric is not None:
+            i, j = asymmetric
             raise ValueError(f"zero pattern not symmetric at ({i},{j})")
         z.setflags(write=False)
         self.n = int(z.shape[0])
@@ -214,9 +243,31 @@ def build_zero_pattern(
     """
     tol = tolerance if isinstance(tolerance, Tolerance) else Tolerance(float(tolerance))
     a = matrix._data
-    zero = (a <= tol.epsilon) & (a >= -tol.epsilon)
+    if a.dtype.kind == "u":
+        zero = a <= _largest_mantissa_within(tol.epsilon, matrix._scale, a.dtype)
+    else:
+        zero = (a <= tol.epsilon) & (a >= -tol.epsilon)
     np.fill_diagonal(zero, False)
     return ZeroPattern(zero, _owned=True)
+
+
+def _largest_mantissa_within(epsilon: float, scale: int, dtype: np.dtype) -> int:
+    """The largest m of ``dtype`` with m / scale <= epsilon in float64.
+
+    m / scale rounds monotonically in m, so the mantissas within epsilon
+    are 0..t. Mantissas stay below 2**53 (a fixed-width field has at most
+    15 digits), and while epsilon * scale does too it lands a step or two
+    from t; a larger epsilon takes every mantissa.
+    """
+    top = min(int(np.iinfo(dtype).max), 2**53)
+    if top / scale <= epsilon:
+        return top
+    t = math.floor(epsilon * scale)
+    while (t + 1) / scale <= epsilon:
+        t += 1
+    while t / scale > epsilon:
+        t -= 1
+    return t
 
 
 def zeros_toward_other_groups(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from musearch.fileio import (
     write_matrix_csv,
 )
 from musearch.fixtures import FIXTURES, load
-from musearch.matrix import build_zero_pattern
+from musearch.matrix import SymmetricMatrix, build_zero_pattern
 
 
 def test_parse_dense_csv():
@@ -178,6 +180,10 @@ def fixed_width_csv(draw, digit_counts=st.integers(0, 16), min_lines=1, min_cols
     return "\n".join(rows) + draw(st.sampled_from(["\n", ""])), digits, cols
 
 
+def _loadtxt(text):
+    return np.loadtxt(text.splitlines(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
 @given(fixed_width_csv())
 @settings(max_examples=300)
 def test_fixed_width_matches_loadtxt(case):
@@ -188,9 +194,53 @@ def test_fixed_width_matches_loadtxt(case):
     if cols == 1 or not 1 <= digits <= 15:
         assert got is None
         return
-    want = np.loadtxt(text.splitlines(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    assert got.shape == want.shape
+    mantissas, scale = got
+    assert mantissas.dtype == np.min_scalar_type(10**digits - 1)
+    values = mantissas / float(scale)
+    want = _loadtxt(text)
+    assert values.shape == want.shape
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def symmetric_fixed_width_csv(draw):
+    """Symmetric CSV of 2-4 units whose fields all have 1-15 digits and a
+    '.' at one shared position or none."""
+    digits = draw(st.integers(1, 15))
+    dot = draw(st.one_of(st.none(), st.integers(0, digits)))
+    n = draw(st.integers(2, 4))
+    mantissas = st.integers(0, 10**digits - 1)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.one_of(st.just(0), mantissas))
+    fields = [[str(v).zfill(digits) for v in row] for row in m]
+    if dot is not None:
+        fields = [[f[:dot] + "." + f[dot:] for f in row] for row in fields]
+    return "\n".join(",".join(row) for row in fields) + "\n"
+
+
+@given(symmetric_fixed_width_csv(), st.floats(0, 10, allow_nan=False))
+@settings(max_examples=200)
+def test_fixed_width_zero_pattern_matches_float_path(text, drawn):
+    # the matrix kept as digits binarizes as the float64 matrix loadtxt
+    # parses, at every epsilon: zero, each value, the floats just either side
+    # of each value, the extremes and one drawn at random
+    assert _load_fixed_width(text.encode()) is not None
+    m = parse_matrix_text(text)
+    want = _loadtxt(text)
+    got = m.to_array()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert all(m.entry(i, j) == got[i, j] for i in range(m.n) for j in range(m.n))
+    floats = SymmetricMatrix(want)
+    values = np.unique(want)
+    epsilons = {0.0, 5e-324, 1e300, math.inf, drawn, *values}
+    with np.errstate(under="ignore"):  # the float just above 0 is subnormal
+        epsilons |= {*np.nextafter(values, -np.inf), *np.nextafter(values, np.inf)}
+    for epsilon in sorted(float(e) for e in epsilons if e >= 0):
+        assert np.array_equal(
+            build_zero_pattern(m, epsilon).array, build_zero_pattern(floats, epsilon).array
+        ), epsilon
 
 
 def _insert(text, at, piece):

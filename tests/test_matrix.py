@@ -104,6 +104,20 @@ def test_zero_pattern_validates_symmetry():
         ZeroPattern(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=bool))
 
 
+def test_asymmetry_named_at_first_entry_across_tiles():
+    # past one 256-wide tile; of the two mismatched pairs the one at the
+    # later tile comes first in row order, and is the one named
+    a = np.zeros((600, 600))
+    a[300, 10] = 1.0
+    a[5, 550] = 2.0
+    with pytest.raises(ValueError, match=r"entry \(6,551\) is 2\.0 but \(551,6\) is 0\.0"):
+        SymmetricMatrix(a)
+    with pytest.raises(ValueError, match=r"not symmetric at \(5,550\)"):
+        ZeroPattern(a != 0)
+    a[10, 300], a[550, 5] = 1.0, 2.0
+    assert ZeroPattern(a != 0).n == SymmetricMatrix(a).n == 600
+
+
 def test_zero_pattern_rejects_self_partner():
     with pytest.raises(ValueError, match="own zero partner"):
         ZeroPattern(np.array([[1, 0], [0, 0]], dtype=bool))
