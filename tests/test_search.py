@@ -243,24 +243,69 @@ def dense_zero_instances(draw, k):
     # occur and the counts are not mostly zero
     n = draw(st.integers(min_value=k, max_value=3 * k))
     tail = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
-    density = draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+    density = draw(st.sampled_from([0.2, 0.3, 0.5, 0.8, 0.95, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     upper = np.triu(rng.random((n, n)) < density, 1)
     return ZeroPattern(upper | upper.T), Grouping(list(range(k)) + tail, k)
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", range(2, 8))
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_count_matches_oracle(k, data):
-    # K - 1 partner sets: size (K=2), block sum (K=3), product (K=4) and
-    # the recursion down to the product (K=5, 6)
+    # K - 1 partner sets: size (K=2), block sum (K=3), product (K=4), four
+    # sets (K=5) and the recursion down to them (K=6, 7)
     pattern, grouping = data.draw(dense_zero_instances(k))
     for unit in range(pattern.n):
         pg = group_partners(pattern, grouping, unit)
         assert count_identity_submatrices(pattern, grouping, pg) == oracle_count(
             pattern, grouping, unit
         )
+
+
+# each form of the four-set count: per unit of the smallest set, the pair
+# product, and the pair product in one-row chunks and in two-row chunks
+FOUR_SET_FORMS = [
+    {"_BASE_CASE_COST": 0},
+    {"_BASE_CASE_COST": 2**62},
+    {"_BASE_CASE_COST": 2**62, "_FRONTIER_CELLS": 1},
+    {"_BASE_CASE_COST": 2**62, "_FLOAT32_EXACT": 3},
+]
+
+
+def counts_with(pattern, grouping, form):
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in form.items():
+            patch.setattr(search, name, value)
+        return [
+            count_identity_submatrices(
+                pattern, grouping, group_partners(pattern, grouping, unit)
+            )
+            for unit in range(pattern.n)
+        ]
+
+
+@pytest.mark.parametrize("k", range(5, 8))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_four_set_forms_match_oracle(k, data):
+    pattern, grouping = data.draw(dense_zero_instances(k))
+    expected = [oracle_count(pattern, grouping, unit) for unit in range(pattern.n)]
+    for form in FOUR_SET_FORMS:
+        assert counts_with(pattern, grouping, form) == expected, form
+
+
+@pytest.mark.parametrize("form", FOUR_SET_FORMS)
+def test_four_sets_without_zero_pairs_count_zero(form):
+    # unit 0 is zero to every unit, and so is every pair but those across
+    # the two smallest partner sets (groups 1 and 2): no pair product row
+    labels = [0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4]
+    zero = np.ones((len(labels), len(labels)), dtype=bool)
+    np.fill_diagonal(zero, False)
+    zero[1:3, 3:5] = zero[3:5, 1:3] = False
+    pattern, grouping = ZeroPattern(zero), Grouping(labels, 5)
+    assert oracle_count(pattern, grouping, 0) == 0
+    assert counts_with(pattern, grouping, form)[0] == 0
 
 
 def test_product_count_refuses_inexact_sizes(monkeypatch):
