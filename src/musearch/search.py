@@ -12,10 +12,9 @@ the largest count, ties going to the lowest unit index.
 A count is the number of cliques with one vertex per partner set in the
 zero graph, counted exactly: matrix products run in float32 only where
 every entry stays below 2^24, and are summed in int64. Up to three sets
-take one block count or product. Four take either one product per unit
-of the smallest set or one product over the zero pairs of the two
-smallest sets, whichever an estimate of multiply-adds finds cheaper; more
-than four fix each unit of the smallest set in turn.
+take one block count or product. Four take one product over the zero
+pairs of the two smallest sets; more than four fix each unit of the
+smallest set in turn, down to four.
 """
 
 from __future__ import annotations
@@ -153,13 +152,6 @@ _FLOAT32_EXACT = 2**24
 # faster than 2^18, 2^19 or 2^21: smaller chunks pay more calls per row,
 # larger ones fall out of cache.
 _FRONTIER_CELLS = 2**20
-# The fixed cost of one per-unit product, in multiply-adds, that makes
-# the estimates below pick the faster form. Timing both forms on 42
-# synthetic 4-set calls (sets of 30 to 400 units, zero densities 0.3 to
-# 0.95, one BLAS thread), 2^22 picked the faster one 33 times, and the
-# slower one cost at most 1.5 times as much; 2^20 and 2^24 picked it 28
-# and 32 times.
-_BASE_CASE_COST = 2**22
 
 
 def count_identity_submatrices(
@@ -173,11 +165,10 @@ def count_identity_submatrices(
     of cliques with one vertex per partner set in the zero graph. One set
     counts its size and two count their zero block. Three count triangles
     by a float32 matrix product summed in int64. Four sets A <= B <= C <= D
-    are counted either per unit of A, as three sets shrunk to its zero
-    partners, or at once over the zero pairs (a, b) of A and B, whichever
-    an estimate of multiply-adds finds cheaper. With more than four, each
-    unit of the smallest set is fixed in turn and the other sets shrink to
-    its zero partners.
+    are counted by the same kind of product over the zero pairs (a, b) of
+    A and B, taken in chunks of pairs.
+    With more than four, each unit of the smallest set is fixed in turn
+    and the other sets shrink to its zero partners, down to four.
     """
     check_consistent(zero_pattern, grouping)
     sets = [np.array(units, dtype=np.intp) for units in partners.members_by_group.values()]
@@ -225,23 +216,11 @@ def _count_triangles(
 def _count_four(
     zero: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
 ) -> int:
-    # np.take keeps the blocks C-contiguous, so that their rows, gathered
-    # below per unit or per pair, are contiguous too
-    rows_a = zero[a]
-    ab, ac, ad = (np.take(rows_a, s, axis=1) for s in (b, c, d))
-    nb, nc, nd = (np.count_nonzero(m, axis=1).astype(np.float64) for m in (ab, ac, ad))
-    # multiply-adds, in float64 so that they cannot overflow: one 3-set
-    # product per unit of A against one product over every zero pair
-    # (a, b), which costs about 1/density^2 more arithmetic but no
-    # per-unit overhead
-    per_unit = float(nb @ (nc * nd)) + a.size * _BASE_CASE_COST
-    pairs = float(nb.sum()) * c.size * d.size
-    if per_unit <= pairs:
-        return sum(
-            _count_cliques(zero, [b[ab[i]], c[ac[i]], d[ad[i]]]) for i in range(a.size)
-        )
-    ia, ib = np.nonzero(ab)
-    rows_b = zero[b]
+    # the rows are the zero pairs (a, b); np.take keeps the blocks
+    # C-contiguous, so that the rows gathered per pair are contiguous too
+    rows_a, rows_b = zero[a], zero[b]
+    ia, ib = np.nonzero(np.take(rows_a, b, axis=1))
+    ac, ad = np.take(rows_a, c, axis=1), np.take(rows_a, d, axis=1)
     bc, bd = np.take(rows_b, c, axis=1), np.take(rows_b, d, axis=1)
     cd = np.take(zero[c], d, axis=1)
     # the (c, d) entry of a chunk's product counts its pairs zero to both c

@@ -263,19 +263,14 @@ def test_count_matches_oracle(k, data):
         )
 
 
-# each form of the four-set count: per unit of the smallest set, the pair
-# product, and the pair product in one-row chunks and in two-row chunks
-FOUR_SET_FORMS = [
-    {"_BASE_CASE_COST": 0},
-    {"_BASE_CASE_COST": 2**62},
-    {"_BASE_CASE_COST": 2**62, "_FRONTIER_CELLS": 1},
-    {"_BASE_CASE_COST": 2**62, "_FLOAT32_EXACT": 3},
-]
+# the four-set pair product as it runs, in one-row chunks and in two-row
+# chunks, so that chunk boundaries and the row cap are crossed
+FOUR_SET_CHUNKS = [{}, {"_FRONTIER_CELLS": 1}, {"_FLOAT32_EXACT": 3}]
 
 
-def counts_with(pattern, grouping, form):
+def counts_with(pattern, grouping, chunks):
     with pytest.MonkeyPatch.context() as patch:
-        for name, value in form.items():
+        for name, value in chunks.items():
             patch.setattr(search, name, value)
         return [
             count_identity_submatrices(
@@ -288,15 +283,15 @@ def counts_with(pattern, grouping, form):
 @pytest.mark.parametrize("k", range(5, 8))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_four_set_forms_match_oracle(k, data):
+def test_four_set_chunks_match_oracle(k, data):
     pattern, grouping = data.draw(dense_zero_instances(k))
     expected = [oracle_count(pattern, grouping, unit) for unit in range(pattern.n)]
-    for form in FOUR_SET_FORMS:
-        assert counts_with(pattern, grouping, form) == expected, form
+    for chunks in FOUR_SET_CHUNKS:
+        assert counts_with(pattern, grouping, chunks) == expected, chunks
 
 
-@pytest.mark.parametrize("form", FOUR_SET_FORMS)
-def test_four_sets_without_zero_pairs_count_zero(form):
+@pytest.mark.parametrize("chunks", FOUR_SET_CHUNKS)
+def test_four_sets_without_zero_pairs_count_zero(chunks):
     # unit 0 is zero to every unit, and so is every pair but those across
     # the two smallest partner sets (groups 1 and 2): no pair product row
     labels = [0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4]
@@ -305,7 +300,7 @@ def test_four_sets_without_zero_pairs_count_zero(form):
     zero[1:3, 3:5] = zero[3:5, 1:3] = False
     pattern, grouping = ZeroPattern(zero), Grouping(labels, 5)
     assert oracle_count(pattern, grouping, 0) == 0
-    assert counts_with(pattern, grouping, form)[0] == 0
+    assert counts_with(pattern, grouping, chunks)[0] == 0
 
 
 def test_product_count_refuses_inexact_sizes(monkeypatch):
