@@ -26,13 +26,13 @@ from typing import TYPE_CHECKING
 # set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import fileio, fixtures  # noqa: E402
+from . import fileio  # noqa: E402
 from .matrix import Grouping, Tolerance, ZeroPattern, build_zero_pattern  # noqa: E402
 from .search import PivotResult, select_maxima  # noqa: E402
 
-# The oracle and simulation modules, and the statistics, decimal and fractions
-# modules they load, are imported by the subcommands that use them, so that
-# `musearch run` does not pay for them.
+# The fixtures, oracle and simulation modules, and the statistics, decimal and
+# fractions modules they load, are imported by the subcommands that use them,
+# so that `musearch run` does not pay for them.
 if TYPE_CHECKING:
     from .simulation import ScenarioConfig
 
@@ -321,6 +321,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures
+
     if args.extract is None:
         for fixture in fixtures.FIXTURES.values():
             print(f"{fixture.name}: {fixture.description}")

@@ -15,6 +15,12 @@ every entry stays below 2^24, and are summed in int64. Up to three sets
 take one block count or product. Four take one product over the zero
 pairs of the two smallest sets; more than four fix each unit of the
 smallest set in turn, down to four.
+
+Three sets (K = 4) may instead be counted through their complements in
+the full other groups, by inclusion-exclusion against triangle tables
+that the candidates of one group share. ``select_maxima`` builds those
+tables for a group only when they take fewer multiply-adds than the
+candidates' own products.
 """
 
 from __future__ import annotations
@@ -143,9 +149,9 @@ def group_partners(
 
 # float32 holds every integer below this exactly, and an entry of a
 # product of 0/1 matrices is at most their inner dimension: |B| for
-# Z[A,B] @ Z[B,C], the rows of a chunk for the pair product. The int64
-# sums are at most the number of cliques, far below 2^63 for any zero
-# matrix that fits in memory.
+# Z[A,B] @ Z[B,C], the rows of a chunk for the pair product, a full group
+# for the shared K = 4 tables. The int64 sums are at most the number of
+# cliques, far below 2^63 for any zero matrix that fits in memory.
 _FLOAT32_EXACT = 2**24
 # Mask cells (rows times |C| + |D|) per chunk of the pair product, so that
 # its temporaries stay near 5 MB. On sets of 100 to 400 units, 2^20 was
@@ -155,7 +161,11 @@ _FRONTIER_CELLS = 2**20
 
 
 def count_identity_submatrices(
-    zero_pattern: ZeroPattern, grouping: Grouping, partners: PartnerGroups
+    zero_pattern: ZeroPattern,
+    grouping: Grouping,
+    partners: PartnerGroups,
+    *,
+    _tables: tuple | None = None,
 ) -> int:
     """Step two, part two: exact identity-submatrix count for one candidate.
 
@@ -169,9 +179,18 @@ def count_identity_submatrices(
     A and B, taken in chunks of pairs.
     With more than four, each unit of the smallest set is fixed in turn
     and the other sets shrink to its zero partners, down to four.
+
+    ``select_maxima`` may pass the private ``_tables`` of the candidate's
+    group (three sets only). The count is then taken through the
+    complements Y_A = G_A minus A, Y_B and Y_C of the sets in their full
+    groups: the triangles of the full groups, minus those through a unit
+    of a complement, plus those through an edge between two complements,
+    minus the triangles among the complements themselves.
     """
     check_consistent(zero_pattern, grouping)
     sets = [np.array(units, dtype=np.intp) for units in partners.members_by_group.values()]
+    if _tables is not None:
+        return _count_through_complements(zero_pattern.array, sets, _tables)
     return _count_cliques(zero_pattern.array, sets)
 
 
@@ -235,6 +254,61 @@ def _count_four(
     return count
 
 
+def _shared_tables(zero: np.ndarray, groups: list[np.ndarray]) -> tuple:
+    """Triangle counts over the full groups A, B, C other than a K = 4
+    candidate's own, in ascending label order: (groups, pairs, sums, total).
+
+    ``pairs`` holds M_AB, M_AC and M_BC: entry (a, b) of M_AB is the number
+    of c in C with (a, b, c) a triangle, and so on. ``sums`` holds F_A, F_B
+    and F_C, the triangles through each unit, and ``total`` all triangles.
+    """
+    # an entry of each product counts the units of the third group zero to
+    # both ends of a pair, so it is at most that group's size
+    if max(g.size for g in groups) >= _FLOAT32_EXACT:
+        raise ValueError(
+            f"groups of sizes {', '.join(str(g.size) for g in groups)} are too "
+            "large for an exact count"
+        )
+    group_a, group_b, group_c = groups
+    rows_a = zero[group_a]
+    ab = np.take(rows_a, group_b, axis=1).astype(np.float32)
+    ac = np.take(rows_a, group_c, axis=1).astype(np.float32)
+    bc = np.take(zero[group_b], group_c, axis=1).astype(np.float32)
+    pairs = ((ac @ bc.T) * ab, (ab @ bc) * ac, (ab.T @ ac) * bc)
+    sum_a = pairs[0].sum(axis=1, dtype=np.int64)
+    sums = (sum_a, pairs[0].sum(axis=0, dtype=np.int64), pairs[1].sum(axis=0, dtype=np.int64))
+    return groups, pairs, sums, int(sum_a.sum())
+
+
+def _count_through_complements(zero: np.ndarray, sets: list[np.ndarray], tables: tuple) -> int:
+    groups, pairs, sums, total = tables
+    # each set's complement, as positions in its full group
+    outside = []
+    for full, units in zip(groups, sets):
+        keep = np.ones(full.size, dtype=bool)
+        keep[np.searchsorted(full, units)] = False
+        outside.append(np.flatnonzero(keep))
+    count = total
+    for through_unit, y in zip(sums, outside):
+        count -= int(through_unit[y].sum())
+    for through_edge, (i, j) in zip(pairs, itertools.combinations(range(3), 2)):
+        count += int(np.take(through_edge[outside[i]], outside[j], axis=1).sum(dtype=np.int64))
+    return count - _count_cliques(zero, [g[y] for g, y in zip(groups, outside)])
+
+
+def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:
+    """True when a group's shared tables take fewer multiply-adds than its
+    candidates' own triangle products: three products over the full groups
+    plus one over each candidate's complements, against one over each
+    candidate's partner sets."""
+    g_a, g_b, g_c = group_sizes
+    shared, direct = 3 * g_a * g_b * g_c, 0
+    for a, b, c in partner_sizes:
+        shared += (g_a - a) * (g_b - b) * (g_c - c)
+        direct += a * b * c
+    return shared < direct
+
+
 def select_maxima(
     zero_pattern: ZeroPattern, grouping: Grouping, m_bar: int
 ) -> PivotResult:
@@ -242,17 +316,26 @@ def select_maxima(
 
     A group whose best count is zero (or which produced no candidates)
     reports not-found rather than raising; the counts of every examined
-    candidate are kept in the result.
+    candidate are kept in the result. At K = 4 a group's candidates share
+    triangle tables over the other three groups whenever ``_tables_pay``.
     """
     candidates = select_candidates(zero_pattern, grouping, m_bar)
     outcomes = []
     for group, group_candidates in enumerate(candidates.per_group):
+        partners = [group_partners(zero_pattern, grouping, c.unit) for c in group_candidates]
+        tables = None
+        if grouping.k == 4 and partners:
+            others = [grouping.member_index(g) for g in range(4) if g != group]
+            sizes = [[len(u) for u in p.members_by_group.values()] for p in partners]
+            if _tables_pay([g.size for g in others], sizes):
+                tables = _shared_tables(zero_pattern.array, others)
         examined = []
         best_unit: int | None = None
         best_count = 0
-        for cand in group_candidates:
-            partners = group_partners(zero_pattern, grouping, cand.unit)
-            count = count_identity_submatrices(zero_pattern, grouping, partners)
+        for cand, cand_partners in zip(group_candidates, partners):
+            count = count_identity_submatrices(
+                zero_pattern, grouping, cand_partners, _tables=tables
+            )
             examined.append((cand.unit, count))
             if count >= 1 and (
                 count > best_count or (count == best_count and cand.unit < best_unit)

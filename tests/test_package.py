@@ -13,10 +13,11 @@ def test_import_loads_no_numpy():
 
 
 def test_cli_import_leaves_out_simulation_and_oracle():
-    # `musearch run` needs neither, nor the statistics module behind them
+    # `musearch run` needs none of them, nor the statistics module behind
+    # simulation and oracle
     out = run_fresh_python(
-        "import sys, musearch.cli; print(sorted("
-        "{'musearch.simulation', 'musearch.oracle', 'statistics'} & set(sys.modules)))"
+        "import sys, musearch.cli; print(sorted({'musearch.simulation', "
+        "'musearch.oracle', 'musearch.fixtures', 'statistics'} & set(sys.modules)))"
     )
     assert out.strip() == "[]"
 

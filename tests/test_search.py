@@ -312,3 +312,87 @@ def test_product_count_refuses_inexact_sizes(monkeypatch):
     monkeypatch.setattr(search, "_FLOAT32_EXACT", smallest)
     with pytest.raises(ValueError, match="too large for an exact count"):
         count_identity_submatrices(pattern, grouping, pg)
+
+
+# -- K = 4 counts through complements, against tables shared by a group ------
+
+
+def examined_with_tables(pattern, grouping, m_bar, tables):
+    # the table rule forced to build (True) or never build (False) tables
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_tables_pay", lambda *sizes: tables)
+        result = select_maxima(pattern, grouping, m_bar)
+    return [pair for outcome in result.outcomes for pair in outcome.examined]
+
+
+@given(data=st.data(), full_budget=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_shared_tables_match_oracle(data, full_budget):
+    pattern, grouping = data.draw(dense_zero_instances(4))
+    m_bar = max(grouping.sizes) if full_budget else data.draw(st.integers(1, 2))
+    for tables in (True, False):
+        examined = examined_with_tables(pattern, grouping, m_bar, tables)
+        expected = [(unit, oracle_count(pattern, grouping, unit)) for unit, _ in examined]
+        assert examined == expected, tables
+
+
+def test_select_maxima_shares_tables_by_the_rule(monkeypatch):
+    # groups of about 50 with partner sets of about 40: tables pay for 20
+    # candidates a group, never for one
+    pattern, grouping = random_instance(11, 200, 4, 0.2)
+    passed = []
+    count = search.count_identity_submatrices
+
+    def recorded(*args, _tables=None):
+        passed.append(_tables is not None)
+        return count(*args, _tables=_tables)
+
+    monkeypatch.setattr(search, "count_identity_submatrices", recorded)
+    for m_bar, shared in ((20, True), (1, False)):
+        passed.clear()
+        result = select_maxima(pattern, grouping, m_bar)
+        assert passed == [shared] * sum(len(o.examined) for o in result.outcomes)
+        assert len(passed) == 4 * m_bar
+
+
+def four_group_instance(covered=(), missed=()):
+    # unit 0 of group 0 is made zero to every unit of the ``covered`` groups
+    # (an empty complement) and to none of the ``missed`` ones (an empty
+    # partner set); the rest is random at zero density 0.7
+    labels = [0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3]
+    rng = np.random.default_rng(7)
+    upper = np.triu(rng.random((len(labels), len(labels))) < 0.7, 1)
+    zero = upper | upper.T
+    grouping = Grouping(labels, 4)
+    for group, value in [(g, True) for g in covered] + [(g, False) for g in missed]:
+        units = grouping.member_index(group)
+        zero[0, units] = zero[units, 0] = value
+    return ZeroPattern(zero), grouping
+
+
+def count_with_tables(pattern, grouping, unit):
+    own = grouping.label(unit)
+    others = [grouping.member_index(g) for g in range(grouping.k) if g != own]
+    tables = search._shared_tables(pattern.array, others)
+    partners = group_partners(pattern, grouping, unit)
+    return count_identity_submatrices(pattern, grouping, partners, _tables=tables)
+
+
+@pytest.mark.parametrize(
+    "covered, missed",
+    [((1, 2, 3), ()), ((2,), ()), ((1, 3), ()), ((), (2,)), ((1, 2), (3,)), ((), (1, 2, 3))],
+)
+def test_shared_tables_at_empty_sets(covered, missed):
+    pattern, grouping = four_group_instance(covered, missed)
+    expected = oracle_count(pattern, grouping, 0)
+    assert (expected == 0) == bool(missed)
+    assert count_with_tables(pattern, grouping, 0) == expected
+
+
+def test_shared_tables_refuse_inexact_group_sizes(monkeypatch):
+    pattern, grouping = random_instance(5, 40, 4, 0.2)
+    # below the largest group, every partner set stays exact
+    monkeypatch.setattr(search, "_FLOAT32_EXACT", max(grouping.sizes))
+    assert examined_with_tables(pattern, grouping, 2, False)
+    with pytest.raises(ValueError, match="too large for an exact count"):
+        examined_with_tables(pattern, grouping, 2, True)
