@@ -109,6 +109,15 @@ def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
+def _pack_rows(zero: np.ndarray) -> np.ndarray:
+    """The rows of ``zero`` packed into uint64 words, the padding bits
+    after the last column zero."""
+    n = zero.shape[1]
+    packed = np.zeros((zero.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(zero, axis=1)
+    return packed.view(np.uint64)
+
+
 class ZeroPattern:
     """Zero structure of a symmetric matrix as an n-by-n bool matrix.
 
@@ -117,11 +126,13 @@ class ZeroPattern:
     construction. The stored matrix is a private read-only copy.
     """
 
-    __slots__ = ("n", "_zero")
+    __slots__ = ("n", "_zero", "_packed")
 
     def __init__(self, zero, *, _owned: bool = False) -> None:
         # build_zero_pattern passes _owned=True to hand over the bool matrix
-        # it just built, which no one else holds, instead of a second copy
+        # it just built, which no one else holds, instead of a second copy;
+        # it thresholds a matrix checked for symmetry, so its pattern is
+        # symmetric by construction and needs no second transpose check
         z = zero if _owned else np.array(zero, dtype=bool)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError(f"zero pattern must be square, got shape {z.shape}")
@@ -130,18 +141,34 @@ class ZeroPattern:
         if z.diagonal().any():
             i = int(np.flatnonzero(z.diagonal())[0])
             raise ValueError(f"unit {i} may not be its own zero partner")
-        asymmetric = _asymmetric_entry(z)
+        asymmetric = None if _owned else _asymmetric_entry(z)
         if asymmetric is not None:
             i, j = asymmetric
             raise ValueError(f"zero pattern not symmetric at ({i},{j})")
         z.setflags(write=False)
         self.n = int(z.shape[0])
         self._zero = z
+        self._packed = None
 
     @property
     def array(self) -> np.ndarray:
         """The read-only n-by-n bool zero matrix."""
         return self._zero
+
+    def _packed_rows(self) -> np.ndarray:
+        """The rows of ``array`` packed into uint64 words (``_pack_rows``),
+        read-only, built on first use."""
+        if self._packed is None:
+            packed = _pack_rows(self._zero)
+            packed.setflags(write=False)
+            self._packed = packed
+        return self._packed
+
+    def _packed_mask(self, units: np.ndarray) -> np.ndarray:
+        """The indicator of ``units`` packed as one row of ``_packed_rows``."""
+        bits = np.zeros(64 * self._packed_rows().shape[1], dtype=bool)
+        bits[units] = True
+        return np.packbits(bits).view(np.uint64)
 
     def _check_unit(self, i: int) -> None:
         if not 0 <= i < self.n:

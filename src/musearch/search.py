@@ -11,10 +11,10 @@ the largest count, ties going to the lowest unit index.
 
 A count is the number of cliques with one vertex per partner set in the
 zero graph, counted exactly: matrix products run in float32 only where
-every entry stays below 2^24, and are summed in int64. Up to three sets
-take one block count or product. Four take one product over the zero
-pairs of the two smallest sets; more than four fix each unit of the
-smallest set in turn, down to four.
+every entry stays below 2^24, and are summed in int64. Two sets take one
+popcount over the zero pattern's bit-packed rows, three one product. Four
+take one product over the zero pairs of the two smallest sets; more than
+four fix each unit of the smallest set in turn, down to four.
 
 Three sets (K = 4) may instead be counted through their complements in
 the full other groups, by inclusion-exclusion against triangle tables
@@ -113,12 +113,13 @@ def select_candidates(
     check_consistent(zero_pattern, grouping)
     if m_bar < 1:
         raise ValueError(f"m_bar must be >= 1, got {m_bar}")
-    zero = zero_pattern.array
+    packed = zero_pattern._packed_rows()
+    zeros = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     per_group = []
     for group in range(grouping.k):
         units = grouping.member_index(group)
-        rows = zero[units]
-        cross = np.count_nonzero(rows, axis=1) - np.count_nonzero(rows[:, units], axis=1)
+        own = packed[units] & zero_pattern._packed_mask(units)
+        cross = zeros[units] - np.bitwise_count(own).sum(axis=1, dtype=np.int64)
         keep = cross > 0
         units, cross = units[keep], cross[keep]
         order = np.lexsort((units, -cross))[:m_bar]
@@ -173,10 +174,11 @@ def count_identity_submatrices(
     such that every pair among them is zero (pairs with the candidate are
     zero already, by construction of the partner sets). That is the number
     of cliques with one vertex per partner set in the zero graph. One set
-    counts its size and two count their zero block. Three count triangles
-    by a float32 matrix product summed in int64. Four sets A <= B <= C <= D
-    are counted by the same kind of product over the zero pairs (a, b) of
-    A and B, taken in chunks of pairs.
+    counts its size. Two count their zero block in int64, as the popcount
+    of the smaller set's packed rows masked by the other set's packed
+    indicator. Three count triangles by a float32 matrix product summed in
+    int64. Four sets A <= B <= C <= D are counted by the same kind of
+    product over the zero pairs (a, b) of A and B, taken in chunks of pairs.
     With more than four, each unit of the smallest set is fixed in turn
     and the other sets shrink to its zero partners, down to four.
 
@@ -190,28 +192,28 @@ def count_identity_submatrices(
     check_consistent(zero_pattern, grouping)
     sets = [np.array(units, dtype=np.intp) for units in partners.members_by_group.values()]
     if _tables is not None:
-        return _count_through_complements(zero_pattern.array, sets, _tables)
-    return _count_cliques(zero_pattern.array, sets)
+        return _count_through_complements(zero_pattern, sets, _tables)
+    return _count_cliques(zero_pattern, sets)
 
 
-def _count_cliques(zero: np.ndarray, sets: list[np.ndarray]) -> int:
+def _count_cliques(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
     if any(s.size == 0 for s in sets):
         return 0
     if len(sets) == 1:
         return int(sets[0].size)
-    # blocks are taken rows first, then columns: several times faster than
-    # one np.ix_ gather
+    sets = sorted(sets, key=len)
     if len(sets) == 2:
         a, b = sets
-        return int(np.count_nonzero(zero[a][:, b]))
-    sets = sorted(sets, key=len)
+        block = zero_pattern._packed_rows()[a] & zero_pattern._packed_mask(b)
+        return int(np.bitwise_count(block).sum(dtype=np.int64))
+    zero = zero_pattern.array
     if len(sets) == 3:
         return _count_triangles(zero, *sets)
     if len(sets) == 4:
         return _count_four(zero, *sets)
     smallest, rest = sets[0], sets[1:]
     return sum(
-        _count_cliques(zero, [s[zero[unit, s]] for s in rest])
+        _count_cliques(zero_pattern, [s[zero[unit, s]] for s in rest])
         for unit in smallest.tolist()
     )
 
@@ -280,7 +282,9 @@ def _shared_tables(zero: np.ndarray, groups: list[np.ndarray]) -> tuple:
     return groups, pairs, sums, int(sum_a.sum())
 
 
-def _count_through_complements(zero: np.ndarray, sets: list[np.ndarray], tables: tuple) -> int:
+def _count_through_complements(
+    zero_pattern: ZeroPattern, sets: list[np.ndarray], tables: tuple
+) -> int:
     groups, pairs, sums, total = tables
     # each set's complement, as positions in its full group
     outside = []
@@ -293,7 +297,7 @@ def _count_through_complements(zero: np.ndarray, sets: list[np.ndarray], tables:
         count -= int(through_unit[y].sum())
     for through_edge, (i, j) in zip(pairs, itertools.combinations(range(3), 2)):
         count += int(np.take(through_edge[outside[i]], outside[j], axis=1).sum(dtype=np.int64))
-    return count - _count_cliques(zero, [g[y] for g, y in zip(groups, outside)])
+    return count - _count_cliques(zero_pattern, [g[y] for g, y in zip(groups, outside)])
 
 
 def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:

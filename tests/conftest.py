@@ -24,6 +24,10 @@ def tennis():
     return build_zero_pattern(matrix), grouping
 
 
+# unit counts on both sides of a 64-bit word boundary of the packed zero rows
+WORD_EDGES = [1, 2, 63, 64, 65, 127, 129, 200]
+
+
 def random_instance(seed: int, n: int, k: int, p: float):
     """Seeded instance helper shared by the randomized suites."""
     matrix = generate_bernoulli_matrix(n, p, seed)

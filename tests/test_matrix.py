@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from musearch import matrix
 from musearch.matrix import (
     Grouping,
     SymmetricMatrix,
@@ -11,6 +12,8 @@ from musearch.matrix import (
     build_zero_pattern,
     zeros_toward_other_groups,
 )
+
+from conftest import WORD_EDGES
 
 
 def test_symmetric_matrix_rejects_asymmetry():
@@ -188,3 +191,38 @@ def test_zero_pattern_copies_its_input():
     assert zero.flags.writeable
     # build_zero_pattern hands over the matrix it built, still read-only
     assert not build_zero_pattern(SymmetricMatrix(np.eye(2))).array.flags.writeable
+
+
+def test_owned_pattern_skips_the_second_transpose_check(monkeypatch):
+    # build_zero_pattern thresholds a matrix already checked for symmetry;
+    # a pattern passed in by a caller is still checked
+    m = SymmetricMatrix(np.eye(3))
+    checked = []
+    check = matrix._asymmetric_entry
+    monkeypatch.setattr(
+        matrix, "_asymmetric_entry", lambda a: checked.append(a.shape) or check(a)
+    )
+    pattern = build_zero_pattern(m)
+    assert checked == []
+    ZeroPattern(pattern.array)
+    assert checked == [(3, 3)]
+
+
+@pytest.mark.parametrize("n", WORD_EDGES)
+def test_packed_rows_read_only_padded_and_built_once(n):
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    pattern = ZeroPattern(upper | upper.T)
+    rows = pattern._packed_rows()
+    assert rows.dtype == np.uint64 and rows.shape == (n, -(-n // 64))
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    bits = np.unpackbits(rows.view(np.uint8), axis=1)
+    assert np.array_equal(bits[:, :n], pattern.array)
+    assert not bits[:, n:].any()
+    assert pattern._packed_rows() is rows
+    units = np.flatnonzero(rng.random(n) < 0.5)
+    mask = np.unpackbits(pattern._packed_mask(units).view(np.uint8))
+    assert mask.size == 64 * rows.shape[1]
+    assert np.array_equal(np.flatnonzero(mask), units)

@@ -8,8 +8,9 @@ from musearch.matrix import (
     SymmetricMatrix,
     ZeroPattern,
     build_zero_pattern,
+    zeros_toward_other_groups,
 )
-from musearch import search
+from musearch import matrix, search
 from musearch.oracle import oracle_count
 from musearch.search import (
     count_identity_submatrices,
@@ -19,7 +20,7 @@ from musearch.search import (
     verify_identity,
 )
 
-from conftest import permute_instance, random_instance
+from conftest import WORD_EDGES, permute_instance, random_instance
 
 
 def all_ones_instance(n=6, k=2):
@@ -261,6 +262,61 @@ def test_count_matches_oracle(k, data):
         assert count_identity_submatrices(pattern, grouping, pg) == oracle_count(
             pattern, grouping, unit
         )
+
+
+# -- popcounts over bit-packed zero rows --------------------------------------
+
+@st.composite
+def word_edge_instances(draw):
+    # three groups, or two at n = 2 (n = 1 cannot hold two groups). Unit 1
+    # is zero to no unit of the last group, so that partner set is empty,
+    # and unit 0 is zero to every unit.
+    n = draw(st.sampled_from([n for n in WORD_EDGES if n >= 2]))
+    k = min(3, n)
+    tail = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    grouping = Grouping(list(range(k)) + tail, k)
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    zero = upper | upper.T
+    last = grouping.member_index(k - 1)
+    zero[1, last] = zero[last, 1] = False
+    zero[0, 1:] = zero[1:, 0] = True
+    return ZeroPattern(zero), grouping
+
+
+@given(word_edge_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_two_set_counts_match_oracle_across_word_boundaries(inst, data):
+    pattern, grouping = inst
+    drawn = data.draw(st.lists(st.integers(0, pattern.n - 1), max_size=6))
+    for unit in sorted({0, 1, *drawn}):
+        pg = group_partners(pattern, grouping, unit)
+        assert count_identity_submatrices(pattern, grouping, pg) == oracle_count(
+            pattern, grouping, unit
+        )
+
+
+@given(word_edge_instances())
+@settings(max_examples=60, deadline=None)
+def test_candidate_zeros_match_plain_definition(inst):
+    # with the full budget every unit with a cross-group zero is a
+    # candidate, so every unit left out must have none
+    pattern, grouping = inst
+    cs = select_candidates(pattern, grouping, max(grouping.sizes))
+    chosen = {c.unit: c.cross_group_zeros for grp in cs.per_group for c in grp}
+    for unit in range(pattern.n):
+        assert chosen.get(unit, 0) == zeros_toward_other_groups(pattern, grouping, unit)
+
+
+def test_search_packs_the_zero_rows_once(monkeypatch):
+    pattern, grouping = random_instance(3, 200, 3, 0.2)
+    packed = []
+    pack = matrix._pack_rows
+    monkeypatch.setattr(matrix, "_pack_rows", lambda zero: packed.append(zero.shape) or pack(zero))
+    result = select_maxima(pattern, grouping, 5)
+    assert sum(len(o.examined) for o in result.outcomes) == 15
+    assert packed == [(200, 200)]
 
 
 # the four-set pair product as it runs, in one-row chunks and in two-row
