@@ -12,11 +12,14 @@ labels 1..k.
 
 from __future__ import annotations
 
+import contextlib
 import io
-import itertools
 import math
+import mmap
+import os
+import stat
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, ContextManager, Iterable
 
 import numpy as np
 
@@ -41,24 +44,27 @@ def _numbered_lines(lines: Iterable[str]):
 
 def parse_matrix_text(text: str, source: str = "<matrix>") -> SymmetricMatrix:
     # the byte reader takes only ASCII; "?" stands in for anything else
-    return _parse_matrix(text.encode("ascii", "replace"), text.splitlines, source)
+    lines = text.splitlines()
+    return _parse_matrix(
+        _load_fixed_width(text.encode("ascii", "replace")),
+        lambda: contextlib.nullcontext(lines),
+        source,
+    )
 
 
 def _parse_matrix(
-    data: bytes,
-    lines: Callable[[], Iterable[str]],
+    fixed: tuple[np.ndarray, int] | None,
+    lines: Callable[[], ContextManager[Iterable[str]]],
     source: str,
     n: int | None = None,
     path: Path | None = None,
 ) -> SymmetricMatrix:
-    """Parse ``data``, whose text ``lines`` yields, into a matrix.
+    """The matrix ``_load_fixed_width`` gave, or else the one read from ``lines``.
 
-    A dense CSV whose fields all have one width is read from its bytes;
-    any other input goes to numpy. Given the ``path`` of a regular file,
-    loadtxt reads triplets from it in large chunks, several times faster
-    than from lines.
+    Each call of ``lines`` opens the text anew. Given the ``path`` of a
+    regular file, loadtxt reads triplets from it in large chunks, several
+    times faster than from lines.
     """
-    fixed = _load_fixed_width(data)
     a, scale = (_load_lines(lines, source, n, path), 1) if fixed is None else fixed
     try:
         return SymmetricMatrix(a, _owned=True, _scale=scale)
@@ -67,26 +73,33 @@ def _parse_matrix(
 
 
 def _load_lines(
-    lines: Callable[[], Iterable[str]], source: str, n: int | None, path: Path | None
+    lines: Callable[[], ContextManager[Iterable[str]]],
+    source: str,
+    n: int | None,
+    path: Path | None,
 ) -> np.ndarray:
     """Parse with numpy; when numpy refuses, rescan the lines to name the bad one."""
-    nonblank = (line for line in lines() if line.strip())
-    first = next(nonblank, None)
+    with lines() as text:
+        first = next((line for line in text if line.strip()), None)
     if first is None:
         raise ValueError(f"{source}: no matrix entries found")
     # Commas mean a dense CSV; bare whitespace means triplets.
     dense = "," in first
-    rest = itertools.chain([first], nonblank)
     try:
-        if dense:
-            return np.loadtxt(rest, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        return _load_triplets(rest if path is None else path, n)
+        if not dense and path is not None:
+            return _load_triplets(path, n)
+        with lines() as text:
+            nonblank = (line for line in text if line.strip())
+            if dense:
+                return np.loadtxt(nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            return _load_triplets(nonblank, n)
     except ValueError as exc:
         reason = str(exc)
-    if dense:
-        _check_dense(_numbered_lines(lines()), source)
-    else:
-        _check_triplets(_numbered_lines(lines()), source, n)
+    with lines() as text:
+        if dense:
+            _check_dense(_numbered_lines(text), source)
+        else:
+            _check_triplets(_numbered_lines(text), source, n)
     raise ValueError(f"{source}: unreadable matrix: {reason}")
 
 
@@ -95,12 +108,13 @@ def _load_lines(
 # (Clinger's fast path): it is the value loadtxt parses. SymmetricMatrix
 # keeps m and 10**k and divides only where a value is asked for.
 _EXACT_DIGITS = 15
-# fields converted at a time, which bounds the temporaries
-_BLOCK_FIELDS = 1 << 20
+# bytes checked and converted at a time: whole rows, about this many,
+# which keeps the temporaries in cache
+_BLOCK_BYTES = 1 << 19
 _MANTISSA_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
-def _load_fixed_width(data: bytes) -> tuple[np.ndarray, int] | None:
+def _load_fixed_width(data: bytes | mmap.mmap) -> tuple[np.ndarray, int] | None:
     """Dense CSV kept as its decimal digits, or None when it has another layout.
 
     Taken only when every field has the width w of the first, every byte
@@ -108,51 +122,64 @@ def _load_fixed_width(data: bytes) -> tuple[np.ndarray, int] | None:
     all fields, a field has at most 15 digits, and every row holds the same
     two or more fields, separated by ',' and ended by '\\n' (optional at the
     end of the data); a row of one field has no comma and reads as triplets.
-    That is what ``write_matrix_csv`` writes for a 0/1 matrix.
+    That is what ``write_matrix_csv`` writes for a 0/1 matrix. No array
+    returned is a view of ``data``, so a map of it can be closed after.
 
     Returns the mantissas m, in the narrowest unsigned dtype that holds
     them, and the scale 10**k, k the digits after the '.': each value is
     m / 10**k.
     """
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    width = data.find(b",")
+    end = data.find(b"\n")
+    row = end + 1 if end >= 0 else len(data) + 1
+    width = data.find(b",", 0, row)
     if width < 1:
         return None
     stride = width + 1
-    cols, rest = divmod(data.find(b"\n") + 1, stride)
-    if rest or cols < 2:
-        return None
-    rows, rest = divmod(len(data), stride * cols)
+    cols, rest = divmod(row, stride)
+    rows = -(-len(data) // row)
+    missing = rows * row - len(data)  # 1 when the data does not end in '\n'
     dot = data.find(b".", 0, width)
     digits = width - (dot >= 0)
-    if rest or not 1 <= digits <= _EXACT_DIGITS:
+    if rest or cols < 2 or missing > 1 or not 1 <= digits <= _EXACT_DIGITS:
         return None
-    separators = np.full(cols, ord(","), dtype=np.uint8)
-    separators[-1] = ord("\n")
-    fields = np.frombuffer(data, dtype=np.uint8).reshape(rows * cols, stride)
+    # One byte template for a row: byte b at position i is valid iff
+    # b - low[i] <= span[i] in uint8, where bytes below low wrap past 255.
+    low = np.full((cols, stride), ord("0"), dtype=np.uint8)
+    span = np.full((cols, stride), 9, dtype=np.uint8)
+    low[:, width] = ord(",")
+    low[-1, width] = ord("\n")
+    span[:, width] = 0
+    if dot >= 0:
+        low[:, dot] = ord(".")
+        span[:, dot] = 0
+    low, span = low.reshape(row), span.reshape(row)
     digit_columns = [c for c in range(width) if c != dot]
     # the narrowest unsigned dtype that holds every mantissa below 10**digits
     dtype = next(t for t in _MANTISSA_DTYPES if 10**digits <= np.iinfo(t).max)
-    out = np.empty(rows * cols, dtype=dtype)
-    step = max(1, _BLOCK_FIELDS // cols) * cols
-    for start in range(0, rows * cols, step):
-        block = fields[start : start + step]
-        if not (block[:, width].reshape(-1, cols) == separators).all():
+    out = np.empty((rows, cols), dtype=dtype)
+    step = max(1, _BLOCK_BYTES // row)
+    t = np.empty((min(step, rows), row), dtype=np.uint8)
+    ok = np.empty(t.shape, dtype=np.bool_)
+    whole = rows - missing
+    grid = np.frombuffer(data, dtype=np.uint8, count=whole * row).reshape(whole, row)
+    blocks = [(start, grid[start : start + step]) for start in range(0, whole, step)]
+    if missing:
+        # the last row and its missing '\n', copied alone
+        last = np.frombuffer(data[whole * row :] + b"\n", dtype=np.uint8)
+        blocks.append((whole, last.reshape(1, row)))
+    for start, block in blocks:
+        size = len(block)
+        np.subtract(block, low, out=t[:size])
+        if not np.less_equal(t[:size], span, out=ok[:size]).all():
             return None
-        if dot >= 0 and not (block[:, dot] == ord(".")).all():
-            return None
-        value = out[start : start + step]
-        for c in digit_columns:
-            digit = block[:, c] - ord("0")  # uint8: bytes below '0' wrap past 9
-            if not (digit < 10).all():
-                return None
-            if c == digit_columns[0]:
-                value[:] = digit
-            else:
-                value *= 10
-                value += digit
-    return out.reshape(rows, cols), 10 ** (width - 1 - dot if dot >= 0 else 0)
+        # each digit byte of t is now its value
+        digit = t[:size].reshape(size, cols, stride)
+        value = out[start : start + size]
+        value[:] = digit[:, :, digit_columns[0]]
+        for c in digit_columns[1:]:
+            value *= 10
+            value += digit[:, :, c]
+    return out, 10 ** (width - 1 - dot if dot >= 0 else 0)
 
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
@@ -270,18 +297,36 @@ def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
 
 
 def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
-    """Read a dense CSV or triplet matrix; ``n`` sizes a triplet matrix."""
+    """Read a dense CSV or triplet matrix; ``n`` sizes a triplet matrix.
+
+    A regular file is mapped, not copied, to check it for the fixed-width
+    layout; if it has another, numpy reads it again from the path. Any
+    other source, such as a pipe, is read once into memory.
+    """
     path = Path(path)
-    # Read once: a pipe cannot be read again, so the format sniff, the parse
-    # and the rescan that names a bad line all work on these bytes. Only
-    # triplets in a regular file go to loadtxt by path.
-    data = path.read_bytes()
+    with path.open("rb") as file:
+        info = os.fstat(file.fileno())
+        mapped = stat.S_ISREG(info.st_mode) and info.st_size > 0
+        if mapped:
+            with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                try:
+                    fixed = _load_fixed_width(data)
+                except BaseException as exc:
+                    # the parse's frames in the traceback hold numpy views
+                    # of the map, which would make closing it raise instead
+                    tb = exc.__traceback__.tb_next
+                    while tb is not None:
+                        tb.tb_frame.clear()
+                        tb = tb.tb_next
+                    raise
+        else:
+            data = file.read()
+    if mapped:
+        return _parse_matrix(fixed, path.open, str(path), n, path)
+    # A pipe cannot be read again, so the format sniff, the parse and the
+    # rescan that names a bad line all work on these bytes.
     return _parse_matrix(
-        data,
-        lambda: io.TextIOWrapper(io.BytesIO(data)),
-        str(path),
-        n,
-        path if path.is_file() else None,
+        _load_fixed_width(data), lambda: io.TextIOWrapper(io.BytesIO(data)), str(path), n
     )
 
 

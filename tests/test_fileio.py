@@ -1,10 +1,16 @@
 import math
+import mmap
+import os
+import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from musearch import fileio
 from musearch.fileio import (
     _load_fixed_width,
     parse_grouping_text,
@@ -296,3 +302,170 @@ def test_parse_dense_near_miss_takes_loadtxt_path(text, expected):
     else:
         got = parse_matrix_text(text).to_array()
         assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+
+
+# Reading a regular file maps it and checks the mapped bytes; any other
+# layout is read again from the path. These run the checks above through
+# real files.
+
+
+@pytest.fixture(scope="module")
+def directory(tmp_path_factory):
+    return tmp_path_factory.mktemp("mapped")
+
+
+def _outcome(read):
+    """The values read, as their float64 bits, or the error message."""
+    try:
+        return read().to_array().view(np.int64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _read_file(directory, text):
+    """``read_matrix`` on a regular file holding ``text``: what
+    ``_load_fixed_width`` gave on the bytes it was handed, the outcome, and
+    the text parser's outcome under the same name."""
+    path = directory / "m.csv"
+    path.write_text(text, newline="")
+    seen = []
+
+    def spy(data):
+        assert isinstance(data, mmap.mmap) == bool(text)
+        seen.append(_load_fixed_width(data))
+        return seen[-1]
+
+    with mock.patch.object(fileio, "_load_fixed_width", spy):
+        got = _outcome(lambda: read_matrix(path))
+    return seen, got, _outcome(lambda: parse_matrix_text(text, source=str(path)))
+
+
+@given(case=fixed_width_csv())
+@settings(max_examples=300)
+def test_fixed_width_file_matches_text_parser(directory, case):
+    text, _, _ = case
+    seen, got, want = _read_file(directory, text)
+    fixed = _load_fixed_width(text.encode())
+    assert len(seen) == 1
+    assert (seen[0] is None) == (fixed is None)
+    if fixed is not None:
+        assert np.array_equal(seen[0][0], fixed[0])
+        assert seen[0][0].dtype == fixed[0].dtype
+        assert seen[0][1] == fixed[1]
+    assert got == want
+
+
+@given(
+    case=fixed_width_csv(st.integers(1, 15), min_lines=2, min_cols=2),
+    miss=st.sampled_from(sorted(_NEAR_MISSES)),
+    data=st.data(),
+)
+@settings(max_examples=300)
+def test_file_near_misses_match_text_parser(directory, case, miss, data):
+    text, _, _ = case
+    text = _NEAR_MISSES[miss](text, data.draw(st.integers(0, len(text))))
+    seen, got, want = _read_file(directory, text)
+    assert seen == [None]
+    assert got == want
+
+
+_ROWS = "1.0,0.5,0.0\n0.5,1.0,0.0\n0.0,0.0,1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, fixed",
+    [
+        (_ROWS, True),
+        (_ROWS[:-1], True),  # no final '\n', many rows
+        ("1.0,0.5", True),  # no final '\n', one row: read, then not square
+        ("1.0,0.5\n", True),
+        (_ROWS[:-1] + "x", False),  # the last byte
+        (_ROWS[:-2] + ":", False),  # the last byte, no final '\n'; ':' follows '9'
+        (_ROWS[:-2] + "/\n", False),  # the last field; '/' precedes '0'
+        (_ROWS[:-5] + ";1.0\n", False),  # a separator of the last row
+        (_ROWS[:-4] + "1.00", False),  # the last row one byte long
+        (_ROWS + "\n", False),
+        (_ROWS + "0", False),
+        (_ROWS[:-1] + "\r\n", False),
+    ],
+)
+def test_file_last_row_and_byte(tmp_path, text, fixed):
+    seen, got, want = _read_file(tmp_path, text)
+    assert [s is not None for s in seen] == [fixed]
+    assert got == want
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_read_empty_file(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no matrix entries found$"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,0.5\n0.5,1\n",
+        "\n1.0,0.5\n\n  \n0.5,1.0\n\n",
+        "1.0,0.5\r\n0.5,1.0\r\n",
+        "1.0,0.5\r\n\r\nx,1.0\r\n",
+        "1.0,0.5\r0.5,1.0\r",
+        "1,0\n\noops,1\n",
+        "1,0,0\n0,1\n0,0,1\n",
+        "1,1_0\n1_0,1\n",
+        "1,\u0660\n\u0660,1\n",
+        "1.5,nan\nnan,1.5\n",
+        "1.0,1\n0,1.0\n",
+        "1 1 1\n\n2 x 1\n",
+        "1 2 1\r\n2 2 1\r\n",
+    ],
+)
+def test_file_fallback_matches_text_parser(tmp_path, text):
+    seen, got, want = _read_file(tmp_path, text)
+    assert seen == [None]
+    assert got == want
+
+
+_PROC = Path("/proc/self")
+
+
+@pytest.mark.skipif(not (_PROC / "maps").exists(), reason="needs /proc/self")
+def test_repeated_reads_leave_no_descriptor_or_map(tmp_path):
+    # the traced benchmark reads hundreds of times in one process
+    files = {
+        "good.csv": "1.0,0.5\n0.5,1.0\n",
+        "asymmetric.csv": "1.0,0.5\n0.2,1.0\n",
+        "bad_line.csv": "1,0.5\n0.5,x\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    names = list(files)
+    fds = sorted(os.listdir(_PROC / "fd"))
+    outcomes = [_outcome(lambda: read_matrix(tmp_path / names[i % 3])) for i in range(200)]
+    assert sorted(os.listdir(_PROC / "fd")) == fds
+    assert str(tmp_path) not in (_PROC / "maps").read_text()
+    assert isinstance(outcomes[0], list)
+    assert "matrix not symmetric" in outcomes[1]
+    assert "bad_line.csv:2: invalid number 'x'" in outcomes[2]
+    assert all(got == outcomes[i % 3] for i, got in enumerate(outcomes))
+
+
+@pytest.mark.skipif(not (_PROC / "maps").exists(), reason="needs /proc/self")
+def test_error_inside_mapped_parse_propagates_and_unmaps(tmp_path, monkeypatch):
+    # numpy views of the map are alive when the check fails; the error must
+    # come out as itself, not as the BufferError of closing under a view
+    class FailingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def less_equal(self, *args, **kwargs):
+            raise MemoryError("injected")
+
+    path = tmp_path / "m.csv"
+    path.write_text("1.0,0.5\n0.5,1.0\n")
+    monkeypatch.setattr(fileio, "np", FailingNumpy())
+    with pytest.raises(MemoryError, match="injected") as info:
+        read_matrix(path)
+    assert info.value.__context__ is None
+    assert str(path) not in (_PROC / "maps").read_text()
