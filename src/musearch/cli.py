@@ -12,7 +12,6 @@ invalid inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -30,9 +29,9 @@ from . import fileio  # noqa: E402
 from .matrix import Grouping, Tolerance, ZeroPattern, build_zero_pattern  # noqa: E402
 from .search import PivotResult, select_maxima  # noqa: E402
 
-# The fixtures, oracle and simulation modules, and the statistics, decimal and
-# fractions modules they load, are imported by the subcommands that use them,
-# so that `musearch run` does not pay for them.
+# The fixtures, oracle and simulation modules, and the dataclasses,
+# statistics, decimal and fractions modules they load, are imported by the
+# subcommands that use them, so that `musearch run` does not pay for them.
 if TYPE_CHECKING:
     from .simulation import ScenarioConfig
 
@@ -307,6 +306,8 @@ def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig
 
 
 def cmd_simulate(args) -> int:
+    import dataclasses
+
     from .simulation import run_scenario_grid
 
     text = Path(args.config).read_text()

@@ -255,6 +255,57 @@ def _check_triplets(lines, source: str, n: int | None) -> None:
 
 
 def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
+    labels, k = _grouping_labels(text) or _grouping_labels_by_line(text, source)
+    try:
+        return Grouping(labels, k)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+# the longest field the fast grouping parse takes, so that its values stay
+# far below int64's limit; a longer one goes to the line loop
+_GROUPING_DIGITS = 9
+
+
+def _grouping_labels(text: str) -> tuple[list[int], int] | None:
+    """0-based labels and k of a grouping whose every non-blank line is
+    ASCII ``digits,digits``, with units 1..n each once and every label
+    1..k used; None for any other text, which the line loop then parses
+    or rejects with the line that fails."""
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    digit = (data >= ord("0")) & (data <= ord("9"))
+    comma = np.flatnonzero(data == ord(","))
+    if not comma.size or np.count_nonzero(digit | (data == ord("\n"))) + comma.size != data.size:
+        return None
+    # every comma sits between two digits, every line that has a digit
+    # has exactly one comma, and no field is longer than _GROUPING_DIGITS
+    # stop[i + 1] is True where byte i is not a digit, and stop is True at
+    # both ends, so the runs between its Trues are the fields
+    stop = np.concatenate(([True], ~digit, [True]))
+    if stop[comma].any() or stop[comma + 2].any():
+        return None
+    line = np.cumsum(data == ord("\n"))
+    digit_lines = line[digit]  # ascending, so its first of each line marks it
+    if not np.array_equal(line[comma], digit_lines[np.diff(digit_lines, prepend=-1) > 0]):
+        return None
+    if np.diff(np.flatnonzero(stop)).max() > _GROUPING_DIGITS + 1:
+        return None
+    values = np.fromstring(text.replace(",", " "), dtype=np.int64, sep=" ")
+    units, groups = values[0::2], values[1::2]
+    n = units.size
+    if units.min() < 1 or units.max() != n or groups.min() < 1:
+        return None
+    k = int(groups.max())
+    if k > n or not np.bincount(units)[1:].all() or not np.bincount(groups)[1:].all():
+        return None
+    labels = np.empty(n, dtype=np.int64)
+    labels[units - 1] = groups - 1
+    return labels.tolist(), k
+
+
+def _grouping_labels_by_line(text: str, source: str) -> tuple[list[int], int]:
     assigned: dict[int, tuple[int, int]] = {}
     for lineno, line in _numbered_lines(text.splitlines()):
         fields = [f.strip() for f in line.split(",")]
@@ -279,21 +330,29 @@ def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
     if not assigned:
         raise ValueError(f"{source}: no group assignments found")
     n = max(assigned)
-    missing = [u for u in range(1, n + 1) if u not in assigned]
-    if missing:
-        raise ValueError(f"{source}: unit {missing[0]} has no group assignment")
-    k = max(group for group, _ in assigned.values())
-    labels = [assigned[u][0] - 1 for u in range(1, n + 1)]
-    used = set(labels)
-    unused = [g for g in range(k) if g not in used]
-    if unused:
-        raise ValueError(
-            f"{source}: group labels must cover 1..{k}, label {unused[0] + 1} unused"
-        )
-    try:
-        return Grouping(labels, k)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    missing = _first_gap(assigned)
+    if missing <= n:
+        raise ValueError(f"{source}: unit {missing} has no group assignment")
+    used = {group for group, _ in assigned.values()}
+    k = max(used)
+    unused = _first_gap(used)
+    if unused <= k:
+        raise ValueError(f"{source}: group labels must cover 1..{k}, label {unused} unused")
+    return [assigned[u][0] - 1 for u in range(1, n + 1)], k
+
+
+def _first_gap(values: Iterable[int]) -> int:
+    """The least integer from 1 up that is not among the positive ``values``.
+
+    It takes time and memory for the values given, not for the largest,
+    so a unit or label of 10**12 is named as cheaply as one of 10.
+    """
+    gap = 1
+    for value in sorted(values):
+        if value != gap:
+            break
+        gap += 1
+    return gap
 
 
 def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:

@@ -8,7 +8,6 @@ I/O boundary only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,8 +22,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Record:
+    """Base of the small immutable value types: fields in ``__slots__``,
+    set once by ``_init`` and never assigned again, with ``==``, ``hash``
+    and ``repr`` over the fields, as a frozen dataclass has them. A
+    dataclass would cost about 1 ms of import per class, in every run."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class Tolerance(_Record):
     """Absolute threshold below which a matrix entry counts as zero.
 
     The default 0.0 keeps exact-zero semantics for 0/1 matrices; a
@@ -32,11 +64,12 @@ class Tolerance:
     matrices estimated numerically.
     """
 
-    epsilon: float = 0.0
+    __slots__ = ("epsilon",)
 
-    def __post_init__(self) -> None:
-        if not self.epsilon >= 0:
-            raise ValueError(f"tolerance epsilon must be >= 0, got {self.epsilon}")
+    def __init__(self, epsilon: float = 0.0) -> None:
+        if not epsilon >= 0:
+            raise ValueError(f"tolerance epsilon must be >= 0, got {epsilon}")
+        self._init(epsilon)
 
 
 class SymmetricMatrix:

@@ -131,6 +131,115 @@ def test_parse_grouping_single_group():
         parse_grouping_text("1,1\n2,1\n")
 
 
+def test_parse_grouping_names_gaps_below_huge_values():
+    # the first unassigned unit and unused label are found from the values
+    # given, without a pass over every number below the largest
+    with pytest.raises(ValueError, match="unit 2 has no group"):
+        parse_grouping_text("1,1\n1000000000000,2\n")
+    with pytest.raises(ValueError, match="label 2 unused"):
+        parse_grouping_text("1,1\n2,1000000000000\n")
+
+
+def _grouping_outcome(text):
+    """The labels and k parsed from ``text``, or the error message."""
+    try:
+        grouping = parse_grouping_text(text)
+    except ValueError as exc:
+        return str(exc)
+    return grouping.labels, grouping.k
+
+
+def _with_line(lines, at, line):
+    return lines[:at] + [line] + lines[at + 1 :]
+
+
+def _fields(lines, at):
+    return lines[at].split(",")
+
+
+def _comma_moved(lines, at):
+    # "u1,l1" "u2,l2" -> "u1,l1,u2" "l2": the same numbers, in the same order
+    if at + 1 == len(lines):
+        return lines
+    unit, label = _fields(lines, at + 1)
+    return lines[:at] + [f"{lines[at]},{unit}", label] + lines[at + 2 :]
+
+
+# each edits the lines of a grouping at one line index; the first keeps
+# the text on the numpy path, the others, which int() or the checks
+# treat differently, must come out as the line loop has them
+_GROUPING_EDITS = {
+    "none": lambda lines, at: lines,
+    "crlf": lambda lines, at: _with_line(lines, at, lines[at] + "\r"),
+    "spaces": lambda lines, at: _with_line(lines, at, " " + lines[at].replace(",", " , ")),
+    "plus": lambda lines, at: _with_line(lines, at, "+" + lines[at]),
+    "underscore": lambda lines, at: _with_line(lines, at, lines[at].replace(",", "_0,")),
+    "non-ascii digit": lambda lines, at: _with_line(
+        lines, at, chr(0x660 + int(lines[at][0])) + lines[at][1:]
+    ),
+    "leading zero": lambda lines, at: _with_line(lines, at, "0" + lines[at]),
+    "blank line": lambda lines, at: lines[:at] + [""] + lines[at:],
+    "space line": lambda lines, at: lines[:at] + ["  "] + lines[at:],
+    "duplicate unit": lambda lines, at: lines + [lines[at]],
+    "missing unit": lambda lines, at: lines[:at] + lines[at + 1 :],
+    "unused label": lambda lines, at: _with_line(
+        lines, at, f"{_fields(lines, at)[0]},{len(lines) + 2}"
+    ),
+    "zero unit": lambda lines, at: _with_line(lines, at, f"0,{_fields(lines, at)[1]}"),
+    "zero label": lambda lines, at: _with_line(lines, at, f"{_fields(lines, at)[0]},0"),
+    "three fields": lambda lines, at: _with_line(lines, at, lines[at] + ",1"),
+    "lone comma": lambda lines, at: _with_line(lines, at, _fields(lines, at)[0] + ","),
+    "no unit": lambda lines, at: _with_line(lines, at, "," + _fields(lines, at)[1]),
+    "no comma": lambda lines, at: _with_line(lines, at, lines[at].replace(",", "")),
+    # on the last line, where the numbers that follow cannot realign
+    "lone unit": lambda lines, at: lines[:-1] + [_fields(lines, -1)[0]],
+    "comma moved": lambda lines, at: _comma_moved(lines, at),
+    # one unit twice and another missing, the line count unchanged
+    "unit twice": lambda lines, at: _with_line(
+        lines, at, f"{_fields(lines, at - 1)[0]},{_fields(lines, at)[1]}"
+    ),
+    "surrogate": lambda lines, at: _with_line(lines, at, "\ud800" + lines[at]),
+    "ten digits": lambda lines, at: _with_line(lines, at, f"{10**9},{_fields(lines, at)[1]}"),
+}
+
+
+@st.composite
+def grouping_lines(draw):
+    # units 1..n in any order, every label of 1..k used
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, n))
+    tail = draw(st.lists(st.integers(1, k), min_size=n - k, max_size=n - k))
+    labels = draw(st.permutations(list(range(1, k + 1)) + tail))
+    units = draw(st.permutations(range(1, n + 1)))
+    return [f"{unit},{labels[unit - 1]}" for unit in units]
+
+
+@given(
+    grouping_lines(),
+    st.sampled_from(sorted(_GROUPING_EDITS)),
+    st.sampled_from(["", "\n", "\n\n"]),
+    st.data(),
+)
+@settings(max_examples=400)
+def test_grouping_fast_path_matches_line_loop(lines, edit, end, data):
+    lines = _GROUPING_EDITS[edit](lines, data.draw(st.integers(0, len(lines) - 1)))
+    text = "\n".join(lines) + end
+    assert_grouping_matches_line_loop(text)
+    if edit == "none":
+        assert fileio._grouping_labels(text) is not None
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "1\n", ",\n", "1,1\n2\n", ",1\n", "1,1,\n"])
+def test_grouping_without_assignments_matches_line_loop(text):
+    assert_grouping_matches_line_loop(text)
+
+
+def assert_grouping_matches_line_loop(text):
+    got = _grouping_outcome(text)
+    with mock.patch.object(fileio, "_grouping_labels", lambda text: None):
+        assert got == _grouping_outcome(text)
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_round_trip(tmp_path, name):
     matrix, grouping = load(name)

@@ -13,11 +13,12 @@ def test_import_loads_no_numpy():
 
 
 def test_cli_import_leaves_out_simulation_and_oracle():
-    # `musearch run` needs none of them, nor the statistics module behind
-    # simulation and oracle
+    # `musearch run` needs none of them, nor the statistics and dataclasses
+    # modules behind simulation, oracle and fixtures
     out = run_fresh_python(
         "import sys, musearch.cli; print(sorted({'musearch.simulation', "
-        "'musearch.oracle', 'musearch.fixtures', 'statistics'} & set(sys.modules)))"
+        "'musearch.oracle', 'musearch.fixtures', 'statistics', 'dataclasses'} "
+        "& set(sys.modules)))"
     )
     assert out.strip() == "[]"
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -426,10 +428,10 @@ def four_group_instance(covered=(), missed=()):
     return ZeroPattern(zero), grouping
 
 
-def count_with_tables(pattern, grouping, unit):
+def count_with_tables(pattern, grouping, unit, batch=()):
+    # alone, or in one batch with the units of ``batch``
     own = grouping.label(unit)
-    others = [grouping.member_index(g) for g in range(grouping.k) if g != own]
-    tables = search._shared_tables(pattern.array, others)
+    tables = search._shared_tables(pattern.array, grouping, own, {}, batch)
     partners = group_partners(pattern, grouping, unit)
     return count_identity_submatrices(pattern, grouping, partners, _tables=tables)
 
@@ -445,6 +447,85 @@ def test_shared_tables_at_empty_sets(covered, missed):
     assert count_with_tables(pattern, grouping, 0) == expected
 
 
+@pytest.mark.parametrize(
+    "covered, missed",
+    [((1, 2, 3), ()), ((2,), ()), ((1, 3), ()), ((), (2,)), ((1, 2), (3,)), ((), (1, 2, 3))],
+)
+def test_shared_tables_at_empty_sets_in_a_batch(covered, missed):
+    # the whole of group 0, units 0 and 1, is counted in one batch; unit 1
+    # has partners in every group, so with ``missed`` the batch holds an
+    # empty partner set beside one that is not
+    pattern, grouping = four_group_instance(covered, missed)
+    assert all(group_partners(pattern, grouping, 1).members_by_group.values())
+    for unit in (0, 1):
+        expected = oracle_count(pattern, grouping, unit)
+        assert count_with_tables(pattern, grouping, unit, (0, 1)) == expected
+
+
+@st.composite
+def uneven_four_group_instances(draw):
+    # each unit draws its own zero density and a pair is zero below the
+    # smaller of its two, so that complement sizes differ within a group
+    n = draw(st.integers(min_value=8, max_value=40))
+    tail = draw(st.lists(st.integers(0, 3), min_size=n - 4, max_size=n - 4))
+    densities = draw(
+        st.lists(st.sampled_from([0.2, 0.5, 0.8, 0.95, 1.0]), min_size=n, max_size=n)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = np.array(densities)
+    upper = np.triu(rng.random((n, n)) < np.minimum.outer(density, density), 1)
+    return ZeroPattern(upper | upper.T), Grouping(list(range(4)) + tail, 4)
+
+
+@given(uneven_four_group_instances(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_complement_batches_match_oracle(inst, whole_groups):
+    # every unit of a group in one batch, or each unit alone
+    pattern, grouping = inst
+    for group in range(4):
+        units = grouping.members(group)
+        tables = search._shared_tables(
+            pattern.array, grouping, group, {}, units if whole_groups else ()
+        )
+        for unit in units:
+            partners = group_partners(pattern, grouping, unit)
+            got = count_identity_submatrices(pattern, grouping, partners, _tables=tables)
+            assert got == oracle_count(pattern, grouping, unit), (group, unit)
+        assert sorted(tables.counts) == sorted(units)
+
+
+def test_search_builds_each_group_block_once(monkeypatch):
+    # the tables pay for all four groups here (see the rule test above), and
+    # together they use the six blocks of the four groups
+    pattern, grouping = random_instance(11, 200, 4, 0.2)
+    built = []
+    build = search._group_block
+
+    def recorded(zero, grouping, x, y):
+        built.append((x, y))
+        return build(zero, grouping, x, y)
+
+    monkeypatch.setattr(search, "_group_block", recorded)
+    for _ in range(2):
+        built.clear()
+        select_maxima(pattern, grouping, 20)
+        assert sorted(built) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def test_shared_tables_refuse_inexact_complement_sums(monkeypatch):
+    pattern, grouping = random_instance(5, 40, 4, 0.2)
+    # the triples of the three other groups of group 0 are the largest
+    # complement sum; the bound at that number refuses, one above it counts
+    triples = math.prod(grouping.sizes[1:])
+    assert triples == max(math.prod(grouping.sizes) // size for size in grouping.sizes)
+    monkeypatch.setattr(search, "_FLOAT64_EXACT", triples + 1)
+    expected = examined_with_tables(pattern, grouping, 2, False)
+    assert examined_with_tables(pattern, grouping, 2, True) == expected
+    monkeypatch.setattr(search, "_FLOAT64_EXACT", triples)
+    with pytest.raises(ValueError, match="too large for an exact count"):
+        examined_with_tables(pattern, grouping, 2, True)
+
+
 def test_shared_tables_refuse_inexact_group_sizes(monkeypatch):
     pattern, grouping = random_instance(5, 40, 4, 0.2)
     # below the largest group, every partner set stays exact
@@ -452,3 +533,35 @@ def test_shared_tables_refuse_inexact_group_sizes(monkeypatch):
     assert examined_with_tables(pattern, grouping, 2, False)
     with pytest.raises(ValueError, match="too large for an exact count"):
         examined_with_tables(pattern, grouping, 2, True)
+
+
+def test_result_types_are_immutable_values(fig1):
+    pattern, grouping = fig1
+    result = select_maxima(pattern, grouping, 2)
+    partners = group_partners(pattern, grouping, 1)
+    values = [
+        result,
+        result.outcomes[0],
+        result.candidates,
+        result.candidates.per_group[0][0],
+        partners,
+        matrix.Tolerance(0.5),
+    ]
+    for value in values:
+        field = type(value).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert select_maxima(pattern, grouping, 2) == result
+    assert result.outcomes[0] != result.outcomes[1]
+    assert repr(result.outcomes[0]) == (
+        "GroupOutcome(group=0, selected=1, count=3, examined=((1, 3), (2, 3)))"
+    )
+    assert repr(partners) == "PartnerGroups(candidate=1, members_by_group={1: (3, 5), 2: (7, 8)})"
+    assert repr(matrix.Tolerance()) == "Tolerance(epsilon=0.0)"
+    assert hash(result.candidates) == hash(select_candidates(pattern, grouping, 2))
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        matrix.Tolerance(epsilon=-1.0)
