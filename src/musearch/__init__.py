@@ -21,16 +21,12 @@ _EXPORTS = {
     "SymmetricMatrix": "matrix",
     "ZeroPattern": "matrix",
     "Grouping": "matrix",
-    "Tolerance": "matrix",
     "build_zero_pattern": "matrix",
-    "zeros_toward_other_groups": "matrix",
     "Candidate": "search",
     "CandidateSet": "search",
-    "PartnerGroups": "search",
     "GroupOutcome": "search",
     "PivotResult": "search",
     "select_candidates": "search",
-    "group_partners": "search",
     "count_identity_submatrices": "search",
     "select_maxima": "search",
     "verify_identity": "search",

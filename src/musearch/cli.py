@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio  # noqa: E402
-from .matrix import Grouping, Tolerance, ZeroPattern, build_zero_pattern  # noqa: E402
+from .matrix import Grouping, ZeroPattern, build_zero_pattern  # noqa: E402
 from .search import PivotResult, select_maxima  # noqa: E402
 
 # The fixtures, oracle and simulation modules, and the dataclasses,
@@ -104,7 +104,7 @@ def _load_instance(args) -> tuple[ZeroPattern, Grouping]:
         raise ValueError(
             f"matrix has {matrix.n} units but grouping covers {grouping.n}"
         )
-    pattern = build_zero_pattern(matrix, Tolerance(args.epsilon))
+    pattern = build_zero_pattern(matrix, args.epsilon)
     return pattern, grouping
 
 
@@ -267,11 +267,13 @@ def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig
     """Parse ``key = value`` lines; grid lists are comma-separated.
 
     Keys: n, k, m_bar, p (required grids), seed (default 0) and
-    repetitions (default 1). ``#`` starts a comment.
+    repetitions (default 1); each may be set once, by its name or its
+    ``_values`` alias. ``#`` starts a comment.
     """
     from .simulation import ScenarioConfig
 
     values: dict[str, object] = {}
+    set_by: dict[str, tuple[str, int]] = {}  # field -> (key, line) that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -283,6 +285,12 @@ def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
         field = _CONFIG_KEYS[key]
+        if field in set_by:
+            first, first_line = set_by[field]
+            raise ValueError(
+                f"{source}:{lineno}: {key!r} is set twice (first as {first!r} on line {first_line})"
+            )
+        set_by[field] = (key, lineno)
         fields = [f.strip() for f in rest.split(",") if f.strip()]
         try:
             if field == "p_values":

@@ -267,7 +267,7 @@ def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
 _GROUPING_DIGITS = 9
 
 
-def _grouping_labels(text: str) -> tuple[list[int], int] | None:
+def _grouping_labels(text: str) -> tuple[np.ndarray, int] | None:
     """0-based labels and k of a grouping whose every non-blank line is
     ASCII ``digits,digits``, with units 1..n each once and every label
     1..k used; None for any other text, which the line loop then parses
@@ -302,7 +302,7 @@ def _grouping_labels(text: str) -> tuple[list[int], int] | None:
         return None
     labels = np.empty(n, dtype=np.int64)
     labels[units - 1] = groups - 1
-    return labels.tolist(), k
+    return labels, k
 
 
 def _grouping_labels_by_line(text: str, source: str) -> tuple[list[int], int]:
@@ -380,18 +380,40 @@ def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
                     raise
         else:
             data = file.read()
-    if mapped:
-        return _parse_matrix(fixed, path.open, str(path), n, path)
-    # A pipe cannot be read again, so the format sniff, the parse and the
-    # rescan that names a bad line all work on these bytes.
-    return _parse_matrix(
-        _load_fixed_width(data), lambda: io.TextIOWrapper(io.BytesIO(data)), str(path), n
-    )
+    try:
+        if mapped:
+            return _parse_matrix(fixed, path.open, str(path), n, path)
+        # A pipe cannot be read again, so the format sniff, the parse and the
+        # rescan that names a bad line all work on these bytes.
+        return _parse_matrix(
+            _load_fixed_width(data), lambda: io.TextIOWrapper(io.BytesIO(data)), str(path), n
+        )
+    except UnicodeDecodeError:
+        # the text readers give only an offset into the chunk they decoded
+        _decode(path.read_bytes() if mapped else data, str(path))
+        raise
 
 
 def read_grouping(path: str | Path) -> Grouping:
     path = Path(path)
-    return parse_grouping_text(path.read_text(), source=str(path))
+    # CRLF read as LF, as text mode reads it, so that such a file can take
+    # the numpy path of parse_grouping_text
+    text = _decode(path.read_bytes(), str(path)).replace("\r\n", "\n")
+    return parse_grouping_text(text, source=str(path))
+
+
+def _decode(data: bytes, source: str) -> str:
+    """``data`` as UTF-8 text; the first byte that is not UTF-8 raises,
+    named with its 1-based line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r or \r\n, as text mode reads them; the "." ends
+        # the bad byte's own line short of any line end
+        line = len((data[: exc.start] + b".").splitlines())
+        raise ValueError(
+            f"{source}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 def write_matrix_csv(matrix: SymmetricMatrix, path: str | Path) -> None:

@@ -12,14 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tolerance",
-    "SymmetricMatrix",
-    "ZeroPattern",
-    "Grouping",
-    "build_zero_pattern",
-    "zeros_toward_other_groups",
-]
+__all__ = ["SymmetricMatrix", "ZeroPattern", "Grouping", "build_zero_pattern"]
 
 
 class _Record:
@@ -54,22 +47,6 @@ class _Record:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({shown})"
-
-
-class Tolerance(_Record):
-    """Absolute threshold below which a matrix entry counts as zero.
-
-    The default 0.0 keeps exact-zero semantics for 0/1 matrices; a
-    positive epsilon is useful for probability-valued similarity
-    matrices estimated numerically.
-    """
-
-    __slots__ = ("epsilon",)
-
-    def __init__(self, epsilon: float = 0.0) -> None:
-        if not epsilon >= 0:
-            raise ValueError(f"tolerance epsilon must be >= 0, got {epsilon}")
-        self._init(epsilon)
 
 
 class SymmetricMatrix:
@@ -107,10 +84,10 @@ class SymmetricMatrix:
             i, j = asymmetric
             raise ValueError(
                 f"matrix not symmetric: entry ({i + 1},{j + 1}) is "
-                f"{self.entry(i, j)!r} but ({j + 1},{i + 1}) is {self.entry(j, i)!r}"
+                f"{self._entry(i, j)!r} but ({j + 1},{i + 1}) is {self._entry(j, i)!r}"
             )
 
-    def entry(self, i: int, j: int) -> float:
+    def _entry(self, i: int, j: int) -> float:
         # float(m) / 10**k is the correctly rounded m / 10**k
         return float(self._data[i, j]) / self._scale
 
@@ -229,44 +206,41 @@ class ZeroPattern:
 class Grouping:
     """Partition of units 0..n-1 into k >= 2 nonempty groups labeled 0..k-1."""
 
-    __slots__ = ("n", "k", "_labels", "_members", "_index")
+    __slots__ = ("n", "k", "_labels", "_index")
 
-    def __init__(self, labels: Sequence[int], k: int | None = None) -> None:
-        lab = tuple(int(x) for x in labels)
-        n = len(lab)
+    def __init__(self, labels: Sequence[int] | np.ndarray, k: int | None = None) -> None:
+        lab = np.array(labels, dtype=np.intp)
+        if lab.ndim != 1:
+            raise ValueError(f"group labels must be one sequence, got shape {lab.shape}")
+        n = lab.size
         if n < 1:
             raise ValueError("grouping must cover at least one unit")
         if k is None:
-            k = max(lab) + 1
+            k = int(lab.max()) + 1
         if k < 2:
             raise ValueError(f"need at least 2 groups, got k={k}")
         if k > n:
             raise ValueError(f"cannot split {n} units into {k} nonempty groups")
-        members: list[list[int]] = [[] for _ in range(k)]
-        for i, g in enumerate(lab):
-            if not 0 <= g < k:
-                raise ValueError(f"unit {i} has group label {g} outside 0..{k - 1}")
-            members[g].append(i)
-        for g, units in enumerate(members):
-            if not units:
-                raise ValueError(f"group {g + 1} is empty")
+        outside = (lab < 0) | (lab >= k)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(f"unit {i} has group label {lab[i]} outside 0..{k - 1}")
+        sizes = np.bincount(lab, minlength=k)
+        if not sizes.all():
+            raise ValueError(f"group {int(np.argmin(sizes)) + 1} is empty")
+        # a stable sort keeps each group's units ascending
+        order = np.argsort(lab, kind="stable")
+        lab.setflags(write=False)
+        order.setflags(write=False)
         self.n = n
         self.k = int(k)
         self._labels = lab
-        self._members = tuple(tuple(units) for units in members)
-        self._index = tuple(np.array(units, dtype=np.intp) for units in members)
-        for index in self._index:
-            index.setflags(write=False)
+        self._index = tuple(np.split(order, np.cumsum(sizes[:-1])))
 
     def label(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise ValueError(f"unit index {i} out of range for n={self.n}")
-        return self._labels[i]
-
-    def members(self, group: int) -> tuple[int, ...]:
-        if not 0 <= group < self.k:
-            raise ValueError(f"group {group} out of range for k={self.k}")
-        return self._members[group]
+        return int(self._labels[i])
 
     def member_index(self, group: int) -> np.ndarray:
         """Ascending units of ``group`` as a read-only index array."""
@@ -275,12 +249,13 @@ class Grouping:
         return self._index[group]
 
     @property
-    def labels(self) -> tuple[int, ...]:
+    def labels(self) -> np.ndarray:
+        """Every unit's group label, as a read-only array."""
         return self._labels
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(m) for m in self._members)
+        return tuple(index.size for index in self._index)
 
     def __repr__(self) -> str:
         return f"Grouping(n={self.n}, k={self.k}, sizes={self.sizes})"
@@ -293,20 +268,22 @@ def check_consistent(zero_pattern: ZeroPattern, grouping: Grouping) -> None:
         )
 
 
-def build_zero_pattern(
-    matrix: SymmetricMatrix, tolerance: Tolerance | float = 0.0
-) -> ZeroPattern:
+def build_zero_pattern(matrix: SymmetricMatrix, epsilon: float = 0.0) -> ZeroPattern:
     """Binarize ``matrix`` into its zero structure.
 
     Entry (i, j) becomes a zero partner iff |value| <= epsilon and
-    i != j; the diagonal never appears regardless of its values.
+    i != j; the diagonal never appears regardless of its values. The
+    default 0.0 keeps exact zeros, as for 0/1 matrices; a positive
+    epsilon suits probability-valued matrices estimated numerically.
     """
-    tol = tolerance if isinstance(tolerance, Tolerance) else Tolerance(float(tolerance))
+    epsilon = float(epsilon)
+    if not epsilon >= 0:
+        raise ValueError(f"tolerance epsilon must be >= 0, got {epsilon}")
     a = matrix._data
     if a.dtype.kind == "u":
-        zero = a <= _largest_mantissa_within(tol.epsilon, matrix._scale, a.dtype)
+        zero = a <= _largest_mantissa_within(epsilon, matrix._scale, a.dtype)
     else:
-        zero = (a <= tol.epsilon) & (a >= -tol.epsilon)
+        zero = (a <= epsilon) & (a >= -epsilon)
     np.fill_diagonal(zero, False)
     return ZeroPattern(zero, _owned=True)
 
@@ -329,12 +306,3 @@ def _largest_mantissa_within(epsilon: float, scale: int, dtype: np.dtype) -> int
         t -= 1
     return t
 
-
-def zeros_toward_other_groups(
-    zero_pattern: ZeroPattern, grouping: Grouping, unit: int
-) -> int:
-    """Number of zero partners of ``unit`` lying outside its own group."""
-    check_consistent(zero_pattern, grouping)
-    own = grouping.member_index(grouping.label(unit))
-    row = zero_pattern.array[unit]
-    return int(np.count_nonzero(row)) - int(np.count_nonzero(row[own]))

@@ -48,7 +48,7 @@ def oracle_count(zero_pattern: ZeroPattern, grouping: Grouping, unit: int) -> in
     per other group, with no pre-filtering and no pruning."""
     check_consistent(zero_pattern, grouping)
     own = grouping.label(unit)
-    others = [grouping.members(g) for g in range(grouping.k) if g != own]
+    others = [grouping.member_index(g).tolist() for g in range(grouping.k) if g != own]
     work = math.prod(len(m) for m in others)
     if work > TUPLE_TEST_LIMIT:
         raise ValueError(
@@ -72,7 +72,7 @@ def oracle_maxima(
     argmax sets are global per-group maxima.
     """
     check_consistent(zero_pattern, grouping)
-    groups = [grouping.members(g) for g in range(grouping.k)]
+    groups = [grouping.member_index(g).tolist() for g in range(grouping.k)]
     work = math.prod(len(m) for m in groups)
     if work > TUPLE_TEST_LIMIT:
         raise ValueError(

@@ -65,22 +65,24 @@ class CandidateSet(_Record):
     def __init__(self, m_bar: int, per_group: tuple[tuple[Candidate, ...], ...]) -> None:
         self._init(m_bar, per_group)
 
-    def units(self, group: int) -> tuple[int, ...]:
-        return tuple(c.unit for c in self.per_group[group])
-
 
 class PartnerGroups(_Record):
     """Cross-group zero partners of one candidate, split by group.
 
     ``members_by_group`` maps every group label other than the
-    candidate's own to the sorted tuple of its units that have a zero
-    against the candidate (possibly empty).
+    candidate's own to the ascending units of that group that have a zero
+    against the candidate, as a read-only index array (possibly empty).
+    Arrays have no single truth value, so two of these compare equal only
+    when they are the same object.
     """
 
     __slots__ = ("candidate", "members_by_group")
 
-    def __init__(self, candidate: int, members_by_group: dict[int, tuple[int, ...]]) -> None:
+    def __init__(self, candidate: int, members_by_group: dict[int, np.ndarray]) -> None:
         self._init(candidate, members_by_group)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class GroupOutcome(_Record):
@@ -158,7 +160,9 @@ def group_partners(
         if group == own_label:
             continue
         units = grouping.member_index(group)
-        members[group] = tuple(units[zeros[units]].tolist())
+        partners = units[zeros[units]]
+        partners.setflags(write=False)
+        members[group] = partners
     return PartnerGroups(candidate=candidate, members_by_group=members)
 
 
@@ -209,8 +213,7 @@ def count_identity_submatrices(
     check_consistent(zero_pattern, grouping)
     if _tables is not None:
         return _tables.count(zero_pattern.array, partners.candidate)
-    sets = [np.array(units, dtype=np.intp) for units in partners.members_by_group.values()]
-    return _count_cliques(zero_pattern, sets)
+    return _count_cliques(zero_pattern, list(partners.members_by_group.values()))
 
 
 def _count_cliques(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
@@ -282,12 +285,12 @@ class _GroupTables:
 
     def __init__(self, groups, blocks, pairs, sums, total, batch) -> None:
         self.groups, self.blocks, self.pairs = groups, blocks, pairs
-        self.sums, self.total, self.batch = sums, total, tuple(batch)
+        self.sums, self.total, self.batch = sums, total, batch
         self.counts: dict[int, int] = {}
 
     def count(self, zero: np.ndarray, unit: int) -> int:
         if unit not in self.counts:
-            units = self.batch if unit in self.batch else (unit,)
+            units = self.batch if unit in self.batch else [unit]
             self.counts.update(zip(units, _count_through_complements(zero, self, units)))
         return self.counts[unit]
 
@@ -338,7 +341,7 @@ def _shared_tables(
 
 
 def _count_through_complements(
-    zero: np.ndarray, tables: _GroupTables, units: tuple[int, ...]
+    zero: np.ndarray, tables: _GroupTables, units: list[int]
 ) -> list[int]:
     """The counts of ``units``, candidates of the tables' group, through
     the complements Y_A = G_A minus A, Y_B and Y_C of their partner sets.
@@ -421,7 +424,7 @@ def select_maxima(
         tables = None
         if grouping.k == 4 and partners:
             others = [size for g, size in enumerate(grouping.sizes) if g != group]
-            sizes = [[len(u) for u in p.members_by_group.values()] for p in partners]
+            sizes = [[u.size for u in p.members_by_group.values()] for p in partners]
             if _tables_pay(others, sizes):
                 tables = _shared_tables(
                     zero_pattern.array, grouping, group, blocks, [p.candidate for p in partners]

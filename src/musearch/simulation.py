@@ -209,7 +209,7 @@ def random_grouping(
     for _ in range(max_retries):
         labels = rng.integers(0, k, size=n)
         if len(np.unique(labels)) == k:
-            return Grouping(labels.tolist(), k)
+            return Grouping(labels, k)
     raise ValueError(
         f"no nonempty grouping of {n} units into {k} groups after {max_retries} draws"
     )

@@ -49,6 +49,11 @@ def permute_instance(pattern, grouping, order):
     return ZeroPattern(zero), Grouping(labels, grouping.k), position
 
 
+def candidate_units(candidates, group):
+    """The units of ``group``'s candidates, in candidate order."""
+    return tuple(c.unit for c in candidates.per_group[group])
+
+
 def strip_timing(csv_text: str) -> str:
     """Drop the elapsed_seconds column (always last) from a report CSV."""
     lines = csv_text.splitlines()

@@ -17,7 +17,6 @@ from musearch.fixtures import extract, load
 from musearch.matrix import (
     Grouping,
     SymmetricMatrix,
-    Tolerance,
     build_zero_pattern,
 )
 from musearch.oracle import oracle_count, oracle_maxima
@@ -29,7 +28,7 @@ from musearch.search import (
 )
 from musearch.simulation import ScenarioConfig, run_scenario_grid
 
-from conftest import permute_instance, random_instance, strip_timing
+from conftest import candidate_units, permute_instance, random_instance, strip_timing
 
 
 def criterion(number, name):
@@ -57,8 +56,8 @@ def test_tennis_reproduction(tennis):
     assert result.maxima == (5, 7)  # units 6 and 8
     assert result.outcomes[0].count == 3
     assert result.outcomes[1].count == 5
-    assert {5, 6} <= set(candidates.units(0))  # units 6 and 7
-    assert candidates.units(1)[0] == 7  # unit 8 ranked first
+    assert {5, 6} <= set(candidate_units(candidates, 0))  # units 6 and 7
+    assert candidate_units(candidates, 1)[0] == 7  # unit 8 ranked first
     assert time.perf_counter() - start < 1.0
 
 
@@ -67,9 +66,9 @@ def test_fig1_reproduction(fig1):
     start = time.perf_counter()
     pattern, grouping = fig1
     candidates = select_candidates(pattern, grouping, 2)
-    assert set(candidates.units(0)) == {1, 2}  # units 2, 3
-    assert set(candidates.units(1)) == {3, 5}  # units 4, 6
-    assert set(candidates.units(2)) == {7, 8}  # units 8, 9
+    assert set(candidate_units(candidates, 0)) == {1, 2}  # units 2, 3
+    assert set(candidate_units(candidates, 1)) == {3, 5}  # units 4, 6
+    assert set(candidate_units(candidates, 2)) == {7, 8}  # units 8, 9
     result = select_maxima(pattern, grouping, 2)
     counts = {u: m for o in result.outcomes for u, m in o.examined}
     assert counts == {1: 3, 2: 3, 3: 2, 5: 6, 7: 3, 8: 5}
@@ -249,7 +248,7 @@ def test_invariant_suite():
         vals = rng.random((n, n)) * rng.integers(0, 2, size=(n, n))
         sym = SymmetricMatrix(np.triu(vals) + np.triu(vals, 1).T)
         lo, hi = sorted(rng.random(2) * 0.5)
-        tight = build_zero_pattern(sym, Tolerance(float(lo)))
-        loose = build_zero_pattern(sym, Tolerance(float(hi)))
+        tight = build_zero_pattern(sym, float(lo))
+        loose = build_zero_pattern(sym, float(hi))
         for i in range(sym.n):
             assert not (tight.array[i] & ~loose.array[i]).any()

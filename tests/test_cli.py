@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import threading
 from collections import Counter
 
@@ -241,6 +242,29 @@ def test_config_parser_requires_grids():
         parse_scenario_config("n = 10\nk = 2\nm_bar = 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "n = 100\nk = 2\nm_bar = 1\np = 0.5\nn_values = 7\n",
+            "5: 'n_values' is set twice (first as 'n' on line 1)",
+        ),
+        (
+            "n = 10\nseed = 3\nk = 2\nm_bar = 1\np = 0.5\nseed = 4\n",
+            "6: 'seed' is set twice (first as 'seed' on line 2)",
+        ),
+        (
+            "p_values = 0.5\nn = 10\nk = 2\nm_bar = 1\np = 0.2\n",
+            "5: 'p' is set twice (first as 'p_values' on line 1)",
+        ),
+    ],
+    ids=["alias", "same-key", "name-after-alias"],
+)
+def test_config_parser_refuses_a_key_set_twice(text, message):
+    with pytest.raises(ValueError, match=re.escape(f"grid.cfg:{message}")):
+        parse_scenario_config(text, source="grid.cfg")
+
+
 def test_fixtures_list(capsys):
     code, out, _ = run_cli(capsys, "fixtures")
     assert code == 0
@@ -317,11 +341,16 @@ def test_run_reads_matrix_from_pipe(tmp_path, capsys, name, text):
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [("1,0\nx,1\n", ":2: invalid number 'x'"), ("1 1 1\n2 x 1\n", ":2: invalid triplet '2 x 1'")],
-    ids=["dense", "triplets"],
+    "data, message",
+    [
+        (b"1,0\nx,1\n", ":2: invalid number 'x'"),
+        (b"1 1 1\n2 x 1\n", ":2: invalid triplet '2 x 1'"),
+        (b"1,0\n0,\xff1\n", ":2: byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"1 1 1\n2 2 \xff\n", ":2: byte 0xff is not UTF-8 (invalid start byte)"),
+    ],
+    ids=["dense", "triplets", "dense-undecodable", "triplets-undecodable"],
 )
-def test_run_names_bad_line_of_pipe(tmp_path, text, message):
+def test_run_names_bad_line_of_pipe(tmp_path, data, message):
     # naming the bad line must not read the pipe again: its writer is gone,
     # so a second open would block for ever. The run gets its own process,
     # so that such a hang fails the test when the timeout kills it.
@@ -329,7 +358,7 @@ def test_run_names_bad_line_of_pipe(tmp_path, text, message):
     groups.write_text("1,1\n2,2\n")
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
     done = fresh_python(
         ["-m", "musearch.cli", "run", "--matrix", str(fifo), "--groups", str(groups)],
@@ -339,6 +368,15 @@ def test_run_names_bad_line_of_pipe(tmp_path, text, message):
     assert not writer.is_alive()
     assert done.returncode == 1
     assert f"error: {fifo}{message}" in done.stderr
+
+
+def test_run_names_line_of_undecodable_grouping_byte(fixture_files, tmp_path, capsys):
+    matrix, _ = fixture_files["fig1"]
+    groups = tmp_path / "g.csv"
+    groups.write_bytes(b"1,1\n2,\xff2\n")
+    code, out, err = run_cli(capsys, "run", "--matrix", matrix, "--groups", str(groups))
+    assert (code, out) == (1, "")
+    assert err == f"error: {groups}:2: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("user_value", [None, "2"])

@@ -27,15 +27,15 @@ from musearch.matrix import SymmetricMatrix, build_zero_pattern
 def test_parse_dense_csv():
     m = parse_matrix_text("1,0.5,0\n0.5,1,0\n0,0,1\n")
     assert m.n == 3
-    assert m.entry(0, 1) == 0.5
+    assert m.to_array()[0, 1] == 0.5
 
 
 @pytest.mark.parametrize("text", ["\n1,0\n   \n0,1\n\n", "\n\n1 1 1\n  \n2 2 1\n"])
 def test_parse_skips_blank_lines(text):
     m = parse_matrix_text(text)
     assert m.n == 2
-    assert m.entry(0, 1) == 0.0
-    assert m.entry(1, 1) == 1.0
+    assert m.to_array()[0, 1] == 0.0
+    assert m.to_array()[1, 1] == 1.0
 
 
 def test_parse_dense_unreadable_without_bad_field():
@@ -68,10 +68,10 @@ def test_parse_dense_asymmetric_is_rejected():
 def test_parse_triplets():
     m = parse_matrix_text("1 2 1\n2 3 0.5\n3 3 1\n")
     assert m.n == 3
-    assert m.entry(0, 1) == 1.0
-    assert m.entry(1, 0) == 1.0  # mirrored
-    assert m.entry(0, 2) == 0.0  # unlisted means zero
-    assert m.entry(2, 2) == 1.0
+    assert m.to_array()[0, 1] == 1.0
+    assert m.to_array()[1, 0] == 1.0  # mirrored
+    assert m.to_array()[0, 2] == 0.0  # unlisted means zero
+    assert m.to_array()[2, 2] == 1.0
 
 
 def test_parse_triplets_conflicting_duplicate():
@@ -86,7 +86,7 @@ def test_parse_triplets_conflicting_duplicate_same_order():
 
 def test_parse_triplets_consistent_duplicate_ok():
     m = parse_matrix_text("1 2 1\n2 1 1\n")
-    assert m.entry(0, 1) == 1.0
+    assert m.to_array()[0, 1] == 1.0
 
 
 def test_parse_triplets_bad_field_count():
@@ -108,7 +108,7 @@ def test_parse_grouping():
     g = parse_grouping_text("1,1\n2,2\n3,1\n")
     assert g.n == 3
     assert g.k == 2
-    assert g.labels == (0, 1, 0)
+    assert g.labels.tolist() == [0, 1, 0]
 
 
 def test_parse_grouping_duplicate_unit():
@@ -146,7 +146,7 @@ def _grouping_outcome(text):
         grouping = parse_grouping_text(text)
     except ValueError as exc:
         return str(exc)
-    return grouping.labels, grouping.k
+    return grouping.labels.tolist(), grouping.k
 
 
 def _with_line(lines, at, line):
@@ -251,7 +251,7 @@ def test_fixture_round_trip(tmp_path, name):
     g_again = read_grouping(groups_path)
     a, b = build_zero_pattern(matrix), build_zero_pattern(again)
     assert all(np.array_equal(a.array[i], b.array[i]) for i in range(a.n))
-    assert g_again.labels == grouping.labels
+    assert np.array_equal(g_again.labels, grouping.labels)
 
 
 def test_read_matrix_names_file_in_errors(tmp_path):
@@ -261,6 +261,47 @@ def test_read_matrix_names_file_in_errors(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"1,0\n0,\xff1\n", 2),
+        (b"1.0,0.0\n0.0,1.0\n\n\xfe\n", 4),
+        (b"1,0\r0,\xff1\r", 2),
+        (b"1,0\r\n\r\n0,1\xff\r\n", 3),
+        (b"1 1 1\n2 2 \xff\n", 2),
+        # past the first chunk that the text reader decodes
+        (b"1 1 1\n" * 5000 + b"2 2 1\xc3\n", 5001),
+    ],
+    ids=["dense", "blank-line", "cr", "crlf", "triplets", "late-line"],
+)
+def test_read_matrix_names_line_of_undecodable_byte(tmp_path, data, line):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    message = rf"^{re.escape(str(path))}:{line}: byte 0x.. is not UTF-8"
+    with pytest.raises(ValueError, match=message):
+        read_matrix(path, n=2)
+
+
+def test_read_grouping_names_line_of_undecodable_byte(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"1,1\n2,\xff2\n")
+    message = rf"^{re.escape(str(path))}:2: byte 0xff is not UTF-8 \(invalid start byte\)$"
+    with pytest.raises(ValueError, match=message):
+        read_grouping(path)
+
+
+def test_read_grouping_takes_crlf_by_numpy(tmp_path, monkeypatch):
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"1,1\r\n2,2\r\n3,1\r\n")
+    parsed = []
+    parse = fileio._grouping_labels
+    monkeypatch.setattr(
+        fileio, "_grouping_labels", lambda text: parsed.append(parse(text)) or parsed[-1]
+    )
+    assert read_grouping(path).labels.tolist() == [0, 1, 0]
+    assert parsed[0] is not None
+
+
 def test_read_triplets_sized_by_n(tmp_path):
     # read from the path; blank lines are skipped and the unlisted last
     # unit is kept as all zeros
@@ -268,7 +309,7 @@ def test_read_triplets_sized_by_n(tmp_path):
     path.write_text("\n1 1 1\n  \n2 1 0.5\n\t\n2 2 1\n")
     m = read_matrix(path, n=3)
     assert m.n == 3
-    assert m.entry(0, 1) == 0.5
+    assert m.to_array()[0, 1] == 0.5
     assert not m.to_array()[2].any()
     assert read_matrix(path).n == 2
 
@@ -346,7 +387,7 @@ def test_fixed_width_zero_pattern_matches_float_path(text, drawn):
     want = _loadtxt(text)
     got = m.to_array()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert all(m.entry(i, j) == got[i, j] for i in range(m.n) for j in range(m.n))
+    assert all(m._entry(i, j) == got[i, j] for i in range(m.n) for j in range(m.n))
     floats = SymmetricMatrix(want)
     values = np.unique(want)
     epsilons = {0.0, 5e-324, 1e300, math.inf, drawn, *values}

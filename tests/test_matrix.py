@@ -7,11 +7,10 @@ from musearch import matrix
 from musearch.matrix import (
     Grouping,
     SymmetricMatrix,
-    Tolerance,
     ZeroPattern,
     build_zero_pattern,
-    zeros_toward_other_groups,
 )
+from musearch.search import select_candidates
 
 from conftest import WORD_EDGES
 
@@ -33,9 +32,14 @@ def test_symmetric_matrix_rejects_non_square():
         SymmetricMatrix([[1, 0, 0], [0, 1, 0]])
 
 
-def test_tolerance_rejects_negative():
-    with pytest.raises(ValueError):
-        Tolerance(-0.5)
+def test_build_zero_pattern_rejects_negative_epsilon():
+    m = SymmetricMatrix(np.eye(2))
+    with pytest.raises(ValueError, match="tolerance epsilon must be >= 0, got -0.5"):
+        build_zero_pattern(m, -0.5)
+    with pytest.raises(ValueError, match="tolerance epsilon must be >= 0, got nan"):
+        build_zero_pattern(m, float("nan"))
+    with pytest.raises(ValueError, match=r"got -1\.0$"):
+        build_zero_pattern(m, -1)
 
 
 def test_zero_pattern_fig1_row6(fig1):
@@ -66,25 +70,28 @@ def test_epsilon_binarization():
     a = np.array([[1.0, 0.05, 0.3], [0.05, 1.0, 0.0], [0.3, 0.0, 1.0]])
     m = SymmetricMatrix(a)
     exact = build_zero_pattern(m)
-    loose = build_zero_pattern(m, Tolerance(0.1))
+    loose = build_zero_pattern(m, 0.1)
     assert exact.partners(1) == (2,)
     assert loose.partners(1) == (0, 2)
     assert loose.partners(0) == (1,)
 
 
-def test_zeros_toward_other_groups_fig1(fig1):
+def test_cross_group_zeros_fig1(fig1):
+    # at the full budget every unit with a cross-group zero is a candidate
     pattern, grouping = fig1
-    assert zeros_toward_other_groups(pattern, grouping, 5) == 5  # unit 6
-    assert zeros_toward_other_groups(pattern, grouping, 6) == 0  # unit 7
+    cs = select_candidates(pattern, grouping, max(grouping.sizes))
+    chosen = {c.unit: c.cross_group_zeros for grp in cs.per_group for c in grp}
+    assert chosen[5] == 5  # unit 6
+    assert 6 not in chosen  # unit 7, no cross-group zero
 
 
-def test_zeros_toward_other_groups_errors(fig1):
+def test_cross_group_zeros_errors(fig1):
     pattern, grouping = fig1
     with pytest.raises(ValueError, match="out of range"):
-        zeros_toward_other_groups(pattern, grouping, 9)
+        grouping.label(9)
     other = Grouping([0, 1], 2)
     with pytest.raises(ValueError, match="covers"):
-        zeros_toward_other_groups(pattern, other, 0)
+        select_candidates(pattern, other, 1)
 
 
 def test_single_group_is_rejected():
@@ -100,6 +107,83 @@ def test_grouping_requires_nonempty_groups():
 def test_grouping_rejects_more_groups_than_units():
     with pytest.raises(ValueError):
         Grouping([0, 1], 3)
+
+
+def loop_grouping(labels, k=None):
+    """What the per-unit loop that ``Grouping`` replaced made of ``labels``:
+    (n, k, labels, members per group), or its error message."""
+    try:
+        lab = tuple(int(x) for x in labels)
+        n = len(lab)
+        if n < 1:
+            raise ValueError("grouping must cover at least one unit")
+        if k is None:
+            k = max(lab) + 1
+        if k < 2:
+            raise ValueError(f"need at least 2 groups, got k={k}")
+        if k > n:
+            raise ValueError(f"cannot split {n} units into {k} nonempty groups")
+        members = [[] for _ in range(k)]
+        for i, g in enumerate(lab):
+            if not 0 <= g < k:
+                raise ValueError(f"unit {i} has group label {g} outside 0..{k - 1}")
+            members[g].append(i)
+        for g, units in enumerate(members):
+            if not units:
+                raise ValueError(f"group {g + 1} is empty")
+    except ValueError as exc:
+        return str(exc)
+    return n, k, list(lab), members
+
+
+def built_grouping(labels, k=None):
+    """The same for ``Grouping``, checking that its arrays are read-only."""
+    try:
+        grouping = Grouping(labels, k)
+    except ValueError as exc:
+        return str(exc)
+    index = [grouping.member_index(g) for g in range(grouping.k)]
+    assert all(i.dtype == np.intp and not i.flags.writeable for i in index)
+    assert not grouping.labels.flags.writeable
+    assert grouping.sizes == tuple(i.size for i in index)
+    assert [grouping.label(i) for i in range(grouping.n)] == grouping.labels.tolist()
+    return grouping.n, grouping.k, grouping.labels.tolist(), [i.tolist() for i in index]
+
+
+@st.composite
+def label_sequences(draw):
+    # often a partition, with every label 0..k-1 used; else any small labels
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        tail = draw(st.lists(st.integers(0, k - 1), max_size=10))
+        labels = draw(st.permutations(list(range(k)) + tail))
+    else:
+        labels = draw(st.lists(st.integers(-2, 7), max_size=12))
+    return labels
+
+
+@given(
+    label_sequences(),
+    st.one_of(st.none(), st.integers(-1, 8)),
+    st.sampled_from([list, tuple, lambda labels: np.array(labels, dtype=np.int64)]),
+)
+@settings(max_examples=300)
+def test_grouping_matches_the_per_unit_loop(labels, k, form):
+    assert built_grouping(form(labels), k) == loop_grouping(labels, k)
+
+
+def test_grouping_rejects_nested_labels():
+    with pytest.raises(ValueError, match=r"one sequence, got shape \(2, 2\)"):
+        Grouping([[0, 1], [1, 0]])
+
+
+def test_grouping_copies_its_labels():
+    labels = np.array([0, 1, 0])
+    grouping = Grouping(labels)
+    labels[0] = 1
+    assert grouping.labels.tolist() == [0, 1, 0]
+    assert grouping.member_index(0).tolist() == [0, 2]
+    assert labels.flags.writeable
 
 
 def test_zero_pattern_validates_symmetry():
@@ -147,8 +231,8 @@ def test_pattern_symmetry_property(m):
 @given(symmetric_matrices(), st.floats(0, 0.4), st.floats(0, 0.4))
 def test_binarization_monotone_in_epsilon(m, e1, e2):
     lo, hi = sorted((e1, e2))
-    tight = build_zero_pattern(m, Tolerance(lo))
-    loose = build_zero_pattern(m, Tolerance(hi))
+    tight = build_zero_pattern(m, lo)
+    loose = build_zero_pattern(m, hi)
     for i in range(m.n):
         assert not (tight.array[i] & ~loose.array[i]).any()
 
@@ -179,7 +263,7 @@ def test_symmetric_matrix_copies_its_input():
     data = np.eye(2)
     m = SymmetricMatrix(data)
     data[0, 1] = data[1, 0] = 5.0
-    assert m.entry(0, 1) == 0.0
+    assert m.to_array()[0, 1] == 0.0
     assert data.flags.writeable
 
 

@@ -10,7 +10,6 @@ from musearch.matrix import (
     SymmetricMatrix,
     ZeroPattern,
     build_zero_pattern,
-    zeros_toward_other_groups,
 )
 from musearch import matrix, search
 from musearch.oracle import oracle_count
@@ -22,7 +21,7 @@ from musearch.search import (
     verify_identity,
 )
 
-from conftest import WORD_EDGES, permute_instance, random_instance
+from conftest import WORD_EDGES, candidate_units, permute_instance, random_instance
 
 
 def all_ones_instance(n=6, k=2):
@@ -34,9 +33,9 @@ def all_ones_instance(n=6, k=2):
 def test_candidates_fig1(fig1):
     pattern, grouping = fig1
     cs = select_candidates(pattern, grouping, 2)
-    assert set(cs.units(0)) == {1, 2}  # units 2, 3
-    assert set(cs.units(1)) == {3, 5}  # units 4, 6
-    assert set(cs.units(2)) == {7, 8}  # units 8, 9
+    assert set(candidate_units(cs, 0)) == {1, 2}  # units 2, 3
+    assert set(candidate_units(cs, 1)) == {3, 5}  # units 4, 6
+    assert set(candidate_units(cs, 2)) == {7, 8}  # units 8, 9
     by_unit = {c.unit: c.cross_group_zeros for grp in cs.per_group for c in grp}
     assert by_unit == {1: 4, 2: 4, 3: 3, 5: 5, 7: 5, 8: 5}
 
@@ -44,8 +43,8 @@ def test_candidates_fig1(fig1):
 def test_candidates_tennis(tennis):
     pattern, grouping = tennis
     cs = select_candidates(pattern, grouping, 3)
-    assert cs.units(0)[:2] == (5, 6)  # units 6 and 7, three cross zeros each
-    assert cs.units(1) == (7, 0, 1)  # unit 8 first with five cross zeros
+    assert candidate_units(cs, 0)[:2] == (5, 6)  # units 6 and 7, three cross zeros each
+    assert candidate_units(cs, 1) == (7, 0, 1)  # unit 8 first with five cross zeros
     assert cs.per_group[1][0].cross_group_zeros == 5
 
 
@@ -69,22 +68,31 @@ def test_m_bar_validation(fig1):
         select_candidates(pattern, grouping, 0)
 
 
+def partner_lists(pg):
+    """The partner sets of ``pg`` as lists, after checking that each is a
+    read-only intp index array."""
+    for units in pg.members_by_group.values():
+        assert units.dtype == np.intp and units.ndim == 1
+        assert not units.flags.writeable
+    return {group: units.tolist() for group, units in pg.members_by_group.items()}
+
+
 def test_partners_fig1_candidate2(fig1):
     pattern, grouping = fig1
     pg = group_partners(pattern, grouping, 1)
-    assert pg.members_by_group == {1: (3, 5), 2: (7, 8)}
+    assert partner_lists(pg) == {1: [3, 5], 2: [7, 8]}
 
 
 def test_partners_fig1_candidate9(fig1):
     pattern, grouping = fig1
     pg = group_partners(pattern, grouping, 8)
-    assert pg.members_by_group == {0: (0, 1, 2), 1: (3, 5)}
+    assert partner_lists(pg) == {0: [0, 1, 2], 1: [3, 5]}
 
 
 def test_partners_all_ones_empty():
     pattern, grouping = all_ones_instance()
     pg = group_partners(pattern, grouping, 0)
-    assert pg.members_by_group == {1: ()}
+    assert partner_lists(pg) == {1: []}
 
 
 def test_counts_fig1(fig1):
@@ -308,7 +316,9 @@ def test_candidate_zeros_match_plain_definition(inst):
     cs = select_candidates(pattern, grouping, max(grouping.sizes))
     chosen = {c.unit: c.cross_group_zeros for grp in cs.per_group for c in grp}
     for unit in range(pattern.n):
-        assert chosen.get(unit, 0) == zeros_toward_other_groups(pattern, grouping, unit)
+        own = grouping.label(unit)
+        cross = sum(grouping.label(p) != own for p in pattern.partners(unit))
+        assert chosen.get(unit, 0) == cross
 
 
 def test_search_packs_the_zero_rows_once(monkeypatch):
@@ -364,7 +374,7 @@ def test_four_sets_without_zero_pairs_count_zero(chunks):
 def test_product_count_refuses_inexact_sizes(monkeypatch):
     pattern, grouping = random_instance(5, 40, 4, 0.2)
     pg = group_partners(pattern, grouping, 0)
-    assert all(pg.members_by_group.values())
+    assert all(units.size for units in pg.members_by_group.values())
     # every set, the middle one of the product included, reaches the bound
     smallest = min(len(units) for units in pg.members_by_group.values())
     monkeypatch.setattr(search, "_FLOAT32_EXACT", smallest)
@@ -456,7 +466,8 @@ def test_shared_tables_at_empty_sets_in_a_batch(covered, missed):
     # has partners in every group, so with ``missed`` the batch holds an
     # empty partner set beside one that is not
     pattern, grouping = four_group_instance(covered, missed)
-    assert all(group_partners(pattern, grouping, 1).members_by_group.values())
+    partners = group_partners(pattern, grouping, 1).members_by_group
+    assert all(units.size for units in partners.values())
     for unit in (0, 1):
         expected = oracle_count(pattern, grouping, unit)
         assert count_with_tables(pattern, grouping, unit, (0, 1)) == expected
@@ -483,7 +494,7 @@ def test_complement_batches_match_oracle(inst, whole_groups):
     # every unit of a group in one batch, or each unit alone
     pattern, grouping = inst
     for group in range(4):
-        units = grouping.members(group)
+        units = grouping.member_index(group).tolist()
         tables = search._shared_tables(
             pattern.array, grouping, group, {}, units if whole_groups else ()
         )
@@ -545,7 +556,6 @@ def test_result_types_are_immutable_values(fig1):
         result.candidates,
         result.candidates.per_group[0][0],
         partners,
-        matrix.Tolerance(0.5),
     ]
     for value in values:
         field = type(value).__slots__[0]
@@ -560,8 +570,12 @@ def test_result_types_are_immutable_values(fig1):
     assert repr(result.outcomes[0]) == (
         "GroupOutcome(group=0, selected=1, count=3, examined=((1, 3), (2, 3)))"
     )
-    assert repr(partners) == "PartnerGroups(candidate=1, members_by_group={1: (3, 5), 2: (7, 8)})"
-    assert repr(matrix.Tolerance()) == "Tolerance(epsilon=0.0)"
+    assert repr(partners) == (
+        "PartnerGroups(candidate=1, members_by_group={1: array([3, 5]), 2: array([7, 8])})"
+    )
     assert hash(result.candidates) == hash(select_candidates(pattern, grouping, 2))
-    with pytest.raises(ValueError, match="epsilon must be >= 0"):
-        matrix.Tolerance(epsilon=-1.0)
+    # partner sets are arrays, which have no truth value: identity decides
+    # == and hash, so neither raises
+    again = group_partners(pattern, grouping, 1)
+    assert partners == partners and partners != again
+    assert hash(partners) == hash(partners) and {partners, again} == {again, partners}

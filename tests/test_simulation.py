@@ -64,7 +64,7 @@ def test_random_grouping_small_instances():
 def test_random_grouping_deterministic():
     a = random_grouping(50, 3, seed=21)
     b = random_grouping(50, 3, seed=21)
-    assert a.labels == b.labels
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_mix64_is_stable_and_spreads():
