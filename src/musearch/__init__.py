@@ -27,7 +27,6 @@ _EXPORTS = {
     "GroupOutcome": "search",
     "PivotResult": "search",
     "select_candidates": "search",
-    "count_identity_submatrices": "search",
     "select_maxima": "search",
     "verify_identity": "search",
     "OracleReport": "oracle",

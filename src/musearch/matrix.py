@@ -209,9 +209,16 @@ class Grouping:
     __slots__ = ("n", "k", "_labels", "_index")
 
     def __init__(self, labels: Sequence[int] | np.ndarray, k: int | None = None) -> None:
-        lab = np.array(labels, dtype=np.intp)
-        if lab.ndim != 1:
-            raise ValueError(f"group labels must be one sequence, got shape {lab.shape}")
+        raw = np.asarray(labels)
+        if raw.ndim != 1:
+            raise ValueError(f"group labels must be one sequence, got shape {raw.shape}")
+        if raw.dtype.kind == "f":
+            # refused, not truncated: 1.7 is no group, while 1.0 is group 1
+            whole = np.isfinite(raw) & (np.trunc(raw) == raw)
+            if not whole.all():
+                i = int(np.argmin(whole))
+                raise ValueError(f"unit {i} has group label {raw[i]}, which is not an integer")
+        lab = np.array(raw, dtype=np.intp)
         n = lab.size
         if n < 1:
             raise ValueError("grouping must cover at least one unit")

@@ -63,11 +63,14 @@ def strip_timing(csv_text: str) -> str:
 np.seterr(all="warn")
 
 
-def fresh_python(args: list[str], timeout: float = 60, **env: str | None):
+def fresh_python(
+    args: list[str], timeout: float = 60, stdout=subprocess.PIPE, **env: str | None
+):
     """``python *args`` in a new process that imports this package, with
-    its output captured; each ``env`` item sets a variable, or unsets it
-    when None. A process still running after ``timeout`` seconds is killed
-    and raises ``subprocess.TimeoutExpired``."""
+    its stderr captured, and its stdout too unless ``stdout`` names another
+    file; each ``env`` item sets a variable, or unsets it when None. A
+    process still running after ``timeout`` seconds is killed and raises
+    ``subprocess.TimeoutExpired``."""
     environ = dict(os.environ)
     environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(musearch.__file__).parents[1]), environ.get("PYTHONPATH")])
@@ -78,8 +81,8 @@ def fresh_python(args: list[str], timeout: float = 60, **env: str | None):
         else:
             environ[name] = value
     return subprocess.run(
-        [sys.executable, *args], env=environ, capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, *args], env=environ, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=timeout,
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib
 import io
 import json
@@ -481,3 +482,93 @@ def test_run_calls_every_benchmark_trace_site(fixture_files, capsys, monkeypatch
     capsys.readouterr()
     assert code == 0
     assert [site for site in _TRACE_SITES if not calls[site]] == []
+
+
+def run_script(*argv, **env):
+    """``python -m musearch.cli *argv`` in a fresh process."""
+    return fresh_python(["-m", "musearch.cli", *argv], timeout=30, **env)
+
+
+@pytest.mark.parametrize("name", ["fig1", "tennis"])
+def test_script_entry_gives_what_main_gives(fixture_files, capsys, name):
+    matrix, groups = fixture_files[name]
+    for fmt in ("text", "json", "csv"):
+        argv = ["run", "--matrix", matrix, "--groups", groups, "--format", fmt]
+        done = run_script(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
+
+
+def test_script_entry_exit_codes_match_main(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,0\nnope,1\n")
+    ones = tmp_path / "ones.csv"
+    ones.write_text("1,1,1,1\n" * 4)
+    groups2, groups4 = tmp_path / "g2.csv", tmp_path / "g4.csv"
+    groups2.write_text("1,1\n2,2\n")
+    groups4.write_text("1,1\n2,1\n3,2\n4,2\n")
+    malformed = ["run", "--matrix", str(bad), "--groups", str(groups2)]
+    not_found = ["run", "--matrix", str(ones), "--groups", str(groups4)]
+    for argv, code, err in ((malformed, 1, f"error: {bad}:2"), (not_found, 2, "")):
+        done = run_script(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
+        assert done.returncode == code
+        assert done.stderr.startswith(err)
+
+
+def test_run_main_freezes_the_heap_the_imports_left():
+    done = fresh_python(
+        [
+            "-c",
+            "import gc, musearch.cli as cli\n"
+            "print(gc.get_freeze_count())\n"
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+            "cli.run_main()\n",
+        ]
+    )
+    assert done.returncode == 0
+    before, during = map(int, done.stdout.split())
+    assert before == 0 < during
+
+
+def test_main_leaves_the_collector_as_it_was(fixture_files, capsys):
+    matrix, groups = fixture_files["tennis"]
+    state = gc.get_freeze_count(), gc.isenabled()
+    code, _, _ = run_cli(capsys, "run", "--matrix", matrix, "--groups", groups)
+    assert code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
+@pytest.fixture
+def large_report_files(tmp_path):
+    # every off-diagonal entry is zero, so all 300 units are candidates and
+    # the JSON report (about 27 KB) overflows stdout's buffer
+    n = 300
+    matrix = tmp_path / "eye.csv"
+    matrix.write_text("".join(",".join("1" if j == i else "0" for j in range(n)) + "\n" for i in range(n)))
+    groups = tmp_path / "g.csv"
+    groups.write_text("".join(f"{i + 1},{i % 2 + 1}\n" for i in range(n)))
+    return str(matrix), str(groups)
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_run_into_a_closed_pipe_fails_once(fixture_files, large_report_files, unbuffered, size):
+    # a buffered stdout is flushed once more at interpreter exit, where a
+    # failure can only print "Exception ignored" and exit with code 120
+    if size == "small":
+        matrix, groups = fixture_files["tennis"]
+        extra = []
+    else:
+        matrix, groups = large_report_files
+        extra = ["--m-bar", "150", "--format", "json"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_script(
+            "run", "--matrix", matrix, "--groups", groups, *extra,
+            stdout=write_end, PYTHONUNBUFFERED=unbuffered,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: [Errno 32] Broken pipe\n"

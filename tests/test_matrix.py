@@ -177,6 +177,26 @@ def test_grouping_rejects_nested_labels():
         Grouping([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, 1.7, 1], "unit 1 has group label 1.7, which is not an integer"),
+        (np.array([0.0, 1.0, -0.5]), "unit 2 has group label -0.5, which is not an integer"),
+        ([0, 1, float("nan")], "unit 2 has group label nan, which is not an integer"),
+        (np.array([np.inf, 0.0, 1.0]), "unit 0 has group label inf, which is not an integer"),
+    ],
+)
+def test_grouping_refuses_a_label_that_is_not_an_integer(labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Grouping(labels)
+
+
+def test_grouping_takes_whole_float_and_bool_labels():
+    assert Grouping(np.array([0.0, 1.0, 1.0])).labels.tolist() == [0, 1, 1]
+    assert Grouping([1.0, 0.0], 2).member_index(1).tolist() == [0]
+    assert Grouping([True, False, True]).labels.tolist() == [1, 0, 1]
+
+
 def test_grouping_copies_its_labels():
     labels = np.array([0, 1, 0])
     grouping = Grouping(labels)

@@ -41,3 +41,14 @@ def test_submodules_resolve_as_attributes():
     assert out.strip() == "True"
     for name in ("matrix", "search", "oracle", "simulation"):
         assert getattr(musearch, name) is importlib.import_module(f"musearch.{name}")
+
+
+def test_count_from_partner_groups_stays_in_search():
+    # it counts from a PartnerGroups, which only search.group_partners makes,
+    # and neither of those is a package name
+    assert "count_identity_submatrices" not in musearch.__all__
+    with pytest.raises(AttributeError):
+        musearch.count_identity_submatrices
+    from musearch.search import count_identity_submatrices
+
+    assert musearch.search.count_identity_submatrices is count_identity_submatrices
