@@ -362,7 +362,10 @@ def run_main() -> None:
     # and the benchmark call it many times in one process.
     gc.freeze()
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # from argparse, its output maybe still buffered
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # The reader closed stdout before the report was flushed. The

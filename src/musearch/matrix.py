@@ -120,23 +120,26 @@ def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
 
 
 def _pack_rows(zero: np.ndarray) -> np.ndarray:
-    """The rows of ``zero`` packed into uint64 words, the padding bits
-    after the last column zero."""
+    """The rows of ``zero`` packed into uint64 words, read-only, the
+    padding bits after the last column zero."""
     n = zero.shape[1]
     packed = np.zeros((zero.shape[0], -(-n // 64) * 8), dtype=np.uint8)
     packed[:, : -(-n // 8)] = np.packbits(zero, axis=1)
+    packed.setflags(write=False)
     return packed.view(np.uint64)
 
 
 class ZeroPattern:
-    """Zero structure of a symmetric matrix as an n-by-n bool matrix.
+    """Zero structure of a symmetric matrix over units 0..n-1.
 
-    ``array[i, j]`` is True iff entry (i, j) counted as zero. The
-    diagonal is False and the matrix is symmetric; both are checked at
-    construction. The stored matrix is a private read-only copy.
+    Entry (i, j) is a zero iff it counted as zero. The diagonal is never a
+    zero and the structure is symmetric; both are checked at construction.
+    The one stored copy is private and read-only, each row packed into
+    64-bit words, an eighth of an n-by-n bool matrix (``to_array``). Only
+    ``_rows`` and ``_zero_counts``, which the search uses, read the bits.
     """
 
-    __slots__ = ("n", "_zero", "_packed")
+    __slots__ = ("n", "_bits")
 
     def __init__(self, zero, *, _owned: bool = False) -> None:
         # build_zero_pattern passes _owned=True to hand over the bool matrix
@@ -155,30 +158,29 @@ class ZeroPattern:
         if asymmetric is not None:
             i, j = asymmetric
             raise ValueError(f"zero pattern not symmetric at ({i},{j})")
-        z.setflags(write=False)
         self.n = int(z.shape[0])
-        self._zero = z
-        self._packed = None
+        self._bits = _pack_rows(z)
 
-    @property
-    def array(self) -> np.ndarray:
-        """The read-only n-by-n bool zero matrix."""
-        return self._zero
+    def _rows(self, units) -> np.ndarray:
+        """The bool zero rows of ``units`` (one unit, an index array or a
+        slice), over all n columns."""
+        packed = self._bits[units].view(np.uint8)
+        return np.unpackbits(packed, axis=-1, count=self.n).view(bool)
 
-    def _packed_rows(self) -> np.ndarray:
-        """The rows of ``array`` packed into uint64 words (``_pack_rows``),
-        read-only, built on first use."""
-        if self._packed is None:
-            packed = _pack_rows(self._zero)
-            packed.setflags(write=False)
-            self._packed = packed
-        return self._packed
+    def _zero_counts(self, units, columns=None, *, total: bool = False) -> np.ndarray:
+        """The zeros in each row of ``units`` (as for ``_rows``) in int64, or
+        their ``total``, counting only those in ``columns`` when it is given.
+        A total is one sum, about half as costly as the sum of the rows."""
+        words = self._bits[units]
+        if columns is not None:
+            bits = np.zeros(64 * self._bits.shape[1], dtype=bool)
+            bits[columns] = True
+            words = words & np.packbits(bits).view(np.uint64)
+        return np.bitwise_count(words).sum(axis=None if total else -1, dtype=np.int64)
 
-    def _packed_mask(self, units: np.ndarray) -> np.ndarray:
-        """The indicator of ``units`` packed as one row of ``_packed_rows``."""
-        bits = np.zeros(64 * self._packed_rows().shape[1], dtype=bool)
-        bits[units] = True
-        return np.packbits(bits).view(np.uint64)
+    def to_array(self) -> np.ndarray:
+        """The n-by-n zeros as a new bool array."""
+        return self._rows(slice(None))
 
     def _check_unit(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -187,19 +189,19 @@ class ZeroPattern:
     def partners(self, i: int) -> tuple[int, ...]:
         """Sorted zero partners of unit ``i``."""
         self._check_unit(i)
-        return tuple(np.flatnonzero(self._zero[i]).tolist())
+        return tuple(np.flatnonzero(self._rows(i)).tolist())
 
     def has_zero(self, i: int, j: int) -> bool:
         self._check_unit(i)
         self._check_unit(j)
-        return bool(self._zero[i, j])
+        return bool(self._rows(i)[j])
 
     def zero_count(self, i: int) -> int:
         self._check_unit(i)
-        return int(np.count_nonzero(self._zero[i]))
+        return int(self._zero_counts(i))
 
     def __repr__(self) -> str:
-        total = int(np.count_nonzero(self._zero)) // 2
+        total = int(self._zero_counts(slice(None), total=True)) // 2
         return f"ZeroPattern(n={self.n}, zero_pairs={total})"
 
 

@@ -12,9 +12,9 @@ the largest count, ties going to the lowest unit index.
 A count is the number of cliques with one vertex per partner set in the
 zero graph, counted exactly: matrix products run in float32 only where
 every entry stays below 2^24, and are summed in int64. Two sets take one
-popcount over the zero pattern's bit-packed rows, three one product. Four
-take one product over the zero pairs of the two smallest sets; more than
-four fix each unit of the smallest set in turn, down to four.
+popcount, three one product. Four take one product over the zero pairs of
+the two smallest sets; more than four fix each unit of the smallest set in
+turn, down to four. The zero pattern is read as bool rows or zero counts.
 
 Three sets (K = 4) may instead be counted through their complements in
 the full other groups, by inclusion-exclusion against triangle tables
@@ -129,13 +129,10 @@ def select_candidates(
     check_consistent(zero_pattern, grouping)
     if m_bar < 1:
         raise ValueError(f"m_bar must be >= 1, got {m_bar}")
-    packed = zero_pattern._packed_rows()
-    zeros = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     per_group = []
     for group in range(grouping.k):
         units = grouping.member_index(group)
-        own = packed[units] & zero_pattern._packed_mask(units)
-        cross = zeros[units] - np.bitwise_count(own).sum(axis=1, dtype=np.int64)
+        cross = zero_pattern._zero_counts(units) - zero_pattern._zero_counts(units, units)
         keep = cross > 0
         units, cross = units[keep], cross[keep]
         order = np.lexsort((units, -cross))[:m_bar]
@@ -154,7 +151,7 @@ def group_partners(
     """Step two, part one: the candidate's zero partners in every other group."""
     check_consistent(zero_pattern, grouping)
     own_label = grouping.label(candidate)
-    zeros = zero_pattern.array[candidate]
+    zeros = zero_pattern._rows(candidate)
     members = {}
     for group in range(grouping.k):
         if group == own_label:
@@ -196,23 +193,23 @@ def count_identity_submatrices(
     such that every pair among them is zero (pairs with the candidate are
     zero already, by construction of the partner sets). That is the number
     of cliques with one vertex per partner set in the zero graph. One set
-    counts its size. Two count their zero block in int64, as the popcount
-    of the smaller set's packed rows masked by the other set's packed
-    indicator. Three count triangles by a float32 matrix product summed in
-    int64. Four sets A <= B <= C <= D are counted by the same kind of
-    product over the zero pairs (a, b) of A and B, taken in chunks of pairs.
-    With more than four, each unit of the smallest set is fixed in turn
-    and the other sets shrink to its zero partners, down to four.
+    counts its size. Two count the zeros of the smaller set's rows within
+    the other set, in int64. Three count triangles by a float32 matrix
+    product summed in int64. Four sets A <= B <= C <= D are counted by the
+    same kind of product over the zero pairs (a, b) of A and B, taken in
+    chunks of pairs. With more than four, each unit of the smallest set is
+    fixed in turn and the other sets shrink to its zero partners, down to
+    four.
 
     ``select_maxima`` may pass the private ``_tables`` of the candidate's
-    group (K = 4 only). The count is then taken through the complements of
-    the candidate's partner sets in their full groups, as read from its
-    zero row (see ``_count_through_complements``), together with those of
-    the group's other candidates on the first call that asks for one.
+    group (K = 4 only), whose batch holds the candidate. The count is then
+    taken through the complements of the candidate's partner sets in their
+    full groups (see ``_count_through_complements``), together with those
+    of the rest of the batch on the first call that asks for one.
     """
     check_consistent(zero_pattern, grouping)
     if _tables is not None:
-        return _tables.count(zero_pattern.array, partners.candidate)
+        return _tables.count(zero_pattern, partners.candidate)
     return _count_cliques(zero_pattern, list(partners.members_by_group.values()))
 
 
@@ -224,23 +221,19 @@ def _count_cliques(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
     sets = sorted(sets, key=len)
     if len(sets) == 2:
         a, b = sets
-        block = zero_pattern._packed_rows()[a] & zero_pattern._packed_mask(b)
-        return int(np.bitwise_count(block).sum(dtype=np.int64))
-    zero = zero_pattern.array
+        return int(zero_pattern._zero_counts(a, b, total=True))
     if len(sets) == 3:
-        return _count_triangles(zero, *sets)
+        return _count_triangles(zero_pattern, *sets)
     if len(sets) == 4:
-        return _count_four(zero, *sets)
+        return _count_four(zero_pattern, *sets)
     smallest, rest = sets[0], sets[1:]
     return sum(
-        _count_cliques(zero_pattern, [s[zero[unit, s]] for s in rest])
-        for unit in smallest.tolist()
+        _count_cliques(zero_pattern, [s[zeros[s]] for s in rest])
+        for zeros in zero_pattern._rows(smallest)
     )
 
 
-def _count_triangles(
-    zero: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> int:
+def _count_triangles(zero_pattern: ZeroPattern, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
     if b.size >= _FLOAT32_EXACT:
         raise ValueError(
             f"partner sets of sizes {a.size}, {b.size}, {c.size} are too large "
@@ -248,22 +241,22 @@ def _count_triangles(
         )
     # the mask is taken C-contiguous, in the product's own layout: as
     # Fortran-ordered rows_a[:, c] it costs about as much as the product
-    rows_a = zero[a]
+    rows_a = zero_pattern._rows(a)
     ab = rows_a[:, b].astype(np.float32)
-    bc = zero[b][:, c].astype(np.float32)
+    bc = zero_pattern._rows(b)[:, c].astype(np.float32)
     return int(((ab @ bc) * np.take(rows_a, c, axis=1)).sum(dtype=np.int64))
 
 
 def _count_four(
-    zero: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+    zero_pattern: ZeroPattern, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
 ) -> int:
     # the rows are the zero pairs (a, b); np.take keeps the blocks
     # C-contiguous, so that the rows gathered per pair are contiguous too
-    rows_a, rows_b = zero[a], zero[b]
+    rows_a, rows_b = zero_pattern._rows(a), zero_pattern._rows(b)
     ia, ib = np.nonzero(np.take(rows_a, b, axis=1))
     ac, ad = np.take(rows_a, c, axis=1), np.take(rows_a, d, axis=1)
     bc, bd = np.take(rows_b, c, axis=1), np.take(rows_b, d, axis=1)
-    cd = np.take(zero[c], d, axis=1)
+    cd = np.take(zero_pattern._rows(c), d, axis=1)
     # the (c, d) entry of a chunk's product counts its pairs zero to both c
     # and d, so it is at most the chunk's rows
     step = max(1, min(_FLOAT32_EXACT - 1, _FRONTIER_CELLS // (c.size + d.size)))
@@ -288,25 +281,25 @@ class _GroupTables:
         self.sums, self.total, self.batch = sums, total, batch
         self.counts: dict[int, int] = {}
 
-    def count(self, zero: np.ndarray, unit: int) -> int:
-        if unit not in self.counts:
-            units = self.batch if unit in self.batch else [unit]
-            self.counts.update(zip(units, _count_through_complements(zero, self, units)))
+    def count(self, zero_pattern: ZeroPattern, unit: int) -> int:
+        if not self.counts:
+            counts = _count_through_complements(zero_pattern, self, self.batch)
+            self.counts.update(zip(self.batch, counts))
         return self.counts[unit]
 
 
-def _group_block(zero: np.ndarray, grouping: Grouping, x: int, y: int) -> np.ndarray:
+def _group_block(zero_pattern: ZeroPattern, grouping: Grouping, x: int, y: int) -> np.ndarray:
     """Z[G_x, G_y] in float32."""
-    rows = zero[grouping.member_index(x)]
+    rows = zero_pattern._rows(grouping.member_index(x))
     return np.take(rows, grouping.member_index(y), axis=1).astype(np.float32)
 
 
 def _shared_tables(
-    zero: np.ndarray,
+    zero_pattern: ZeroPattern,
     grouping: Grouping,
     group: int,
     blocks: dict[tuple[int, int], np.ndarray],
-    batch: tuple[int, ...] | list[int] = (),
+    batch: list[int],
 ) -> _GroupTables:
     """Triangle counts over the full groups A, B, C other than ``group``,
     in ascending label order, for the candidates of ``group`` in ``batch``.
@@ -331,7 +324,7 @@ def _shared_tables(
     keys = list(itertools.combinations(labels, 2))
     for key in keys:
         if key not in blocks:
-            blocks[key] = _group_block(zero, grouping, *key)
+            blocks[key] = _group_block(zero_pattern, grouping, *key)
     ab, ac, bc = (blocks[key] for key in keys)
     pairs = ((ac @ bc.T) * ab, (ab @ bc) * ac, (ab.T @ ac) * bc)
     # each sum is at most |G_A||G_B||G_C|, exact in float64
@@ -341,7 +334,7 @@ def _shared_tables(
 
 
 def _count_through_complements(
-    zero: np.ndarray, tables: _GroupTables, units: list[int]
+    zero_pattern: ZeroPattern, tables: _GroupTables, units: list[int]
 ) -> list[int]:
     """The counts of ``units``, candidates of the tables' group, through
     the complements Y_A = G_A minus A, Y_B and Y_C of their partner sets.
@@ -356,7 +349,7 @@ def _count_through_complements(
     and is left out, since its complement is a whole group.
     """
     ab, ac, bc = tables.blocks
-    rows = zero[np.asarray(units, dtype=np.intp)]
+    rows = zero_pattern._rows(np.asarray(units, dtype=np.intp))
     outside = [~np.take(rows, g, axis=1) for g in tables.groups]
     live = ~np.logical_or.reduce([y.all(axis=1) for y in outside])
     counts = np.zeros(len(units), dtype=np.int64)
@@ -427,7 +420,7 @@ def select_maxima(
             sizes = [[u.size for u in p.members_by_group.values()] for p in partners]
             if _tables_pay(others, sizes):
                 tables = _shared_tables(
-                    zero_pattern.array, grouping, group, blocks, [p.candidate for p in partners]
+                    zero_pattern, grouping, group, blocks, [p.candidate for p in partners]
                 )
         examined = []
         best_unit: int | None = None

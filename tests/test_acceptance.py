@@ -250,5 +250,4 @@ def test_invariant_suite():
         lo, hi = sorted(rng.random(2) * 0.5)
         tight = build_zero_pattern(sym, float(lo))
         loose = build_zero_pattern(sym, float(hi))
-        for i in range(sym.n):
-            assert not (tight.array[i] & ~loose.array[i]).any()
+        assert not (tight.to_array() & ~loose.to_array()).any()

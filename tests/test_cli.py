@@ -11,10 +11,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from musearch import cli
+from musearch import cli, search
 from musearch.cli import main, parse_scenario_config
-from musearch.fileio import _load_fixed_width
+from musearch.fileio import _load_fixed_width, write_grouping_csv, write_matrix_csv
 from musearch.fixtures import extract
+from musearch.matrix import ZeroPattern
+from musearch.simulation import generate_bernoulli_matrix, random_grouping
 
 from conftest import fresh_python, run_fresh_python, strip_timing
 
@@ -484,6 +486,39 @@ def test_run_calls_every_benchmark_trace_site(fixture_files, capsys, monkeypatch
     assert [site for site in _TRACE_SITES if not calls[site]] == []
 
 
+def test_run_never_rebuilds_the_bool_matrix(fixture_files, tmp_path, capsys, monkeypatch):
+    # the search reads packed rows only; ZeroPattern.to_array is the one way
+    # back to the n-by-n bool matrix. main() reports a ValueError as an
+    # input error, so the patch raises an AssertionError, which it does not
+    def refused(self):
+        raise AssertionError("the run path rebuilt the n-by-n bool matrix")
+
+    monkeypatch.setattr(ZeroPattern, "to_array", refused)
+    tables, set_counts = [], set()
+    build, count = search._shared_tables, search._count_cliques
+    monkeypatch.setattr(
+        search, "_shared_tables", lambda *args: tables.append(args[2]) or build(*args)
+    )
+    monkeypatch.setattr(
+        search, "_count_cliques", lambda zp, sets: set_counts.add(len(sets)) or count(zp, sets)
+    )
+    runs = [(*fixture_files["fig1"], 2)]
+    # groups of about 50 with partner sets of about 40: at K = 4 the shared
+    # tables pay for 20 candidates a group; K = 6 fixes units of five sets
+    for k, m_bar in ((4, 20), (5, 5), (6, 3)):
+        matrix, groups = tmp_path / f"m{k}.csv", tmp_path / f"g{k}.csv"
+        write_matrix_csv(generate_bernoulli_matrix(200, 0.2, 11), matrix)
+        write_grouping_csv(random_grouping(200, k, 12), groups)
+        runs.append((str(matrix), str(groups), m_bar))
+    for matrix, groups, m_bar in runs:
+        code, _, err = run_cli(
+            capsys, "run", "--matrix", matrix, "--groups", groups, "--m-bar", str(m_bar)
+        )
+        assert (code, err) == (0, ""), matrix
+    assert sorted(tables) == [0, 1, 2, 3]
+    assert set_counts == {2, 4, 5}
+
+
 def run_script(*argv, **env):
     """``python -m musearch.cli *argv`` in a fresh process."""
     return fresh_python(["-m", "musearch.cli", *argv], timeout=30, **env)
@@ -551,24 +586,28 @@ def large_report_files(tmp_path):
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"])
-@pytest.mark.parametrize("size", ["small", "large"])
+@pytest.mark.parametrize("size", ["small", "large", "help"])
 def test_run_into_a_closed_pipe_fails_once(fixture_files, large_report_files, unbuffered, size):
     # a buffered stdout is flushed once more at interpreter exit, where a
     # failure can only print "Exception ignored" and exit with code 120
     if size == "small":
         matrix, groups = fixture_files["tennis"]
-        extra = []
-    else:
+        argv = ["run", "--matrix", matrix, "--groups", groups]
+    elif size == "large":
         matrix, groups = large_report_files
-        extra = ["--m-bar", "150", "--format", "json"]
+        argv = ["run", "--matrix", matrix, "--groups", groups]
+        argv += ["--m-bar", "150", "--format", "json"]
+    else:
+        argv = ["--help"]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = run_script(
-            "run", "--matrix", matrix, "--groups", groups, *extra,
-            stdout=write_end, PYTHONUNBUFFERED=unbuffered,
-        )
+        done = run_script(*argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
     finally:
         os.close(write_end)
-    assert done.returncode == 1
-    assert done.stderr == "error: [Errno 32] Broken pipe\n"
+    if size == "help" and unbuffered:
+        # argparse itself drops the error of its unbuffered write and exits 0
+        assert (done.returncode, done.stderr) == (0, "")
+    else:
+        assert done.returncode == 1
+        assert done.stderr == "error: [Errno 32] Broken pipe\n"

@@ -250,7 +250,7 @@ def test_fixture_round_trip(tmp_path, name):
     again = read_matrix(matrix_path)
     g_again = read_grouping(groups_path)
     a, b = build_zero_pattern(matrix), build_zero_pattern(again)
-    assert all(np.array_equal(a.array[i], b.array[i]) for i in range(a.n))
+    assert np.array_equal(a.to_array(), b.to_array())
     assert np.array_equal(g_again.labels, grouping.labels)
 
 
@@ -395,7 +395,8 @@ def test_fixed_width_zero_pattern_matches_float_path(text, drawn):
         epsilons |= {*np.nextafter(values, -np.inf), *np.nextafter(values, np.inf)}
     for epsilon in sorted(float(e) for e in epsilons if e >= 0):
         assert np.array_equal(
-            build_zero_pattern(m, epsilon).array, build_zero_pattern(floats, epsilon).array
+            build_zero_pattern(m, epsilon).to_array(),
+            build_zero_pattern(floats, epsilon).to_array(),
         ), epsilon
 
 

@@ -207,7 +207,7 @@ def test_grouping_copies_its_labels():
 
 
 def test_zero_pattern_validates_symmetry():
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(ValueError, match=r"^zero pattern not symmetric at \(0,1\)$"):
         ZeroPattern(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=bool))
 
 
@@ -226,7 +226,7 @@ def test_asymmetry_named_at_first_entry_across_tiles():
 
 
 def test_zero_pattern_rejects_self_partner():
-    with pytest.raises(ValueError, match="own zero partner"):
+    with pytest.raises(ValueError, match="^unit 0 may not be its own zero partner$"):
         ZeroPattern(np.array([[1, 0], [0, 0]], dtype=bool))
 
 
@@ -253,15 +253,14 @@ def test_binarization_monotone_in_epsilon(m, e1, e2):
     lo, hi = sorted((e1, e2))
     tight = build_zero_pattern(m, lo)
     loose = build_zero_pattern(m, hi)
-    for i in range(m.n):
-        assert not (tight.array[i] & ~loose.array[i]).any()
+    assert not (tight.to_array() & ~loose.to_array()).any()
 
 
 @given(symmetric_matrices(), st.floats(0.001, 1000.0))
 def test_exact_zero_scale_invariance(m, scale):
     scaled = SymmetricMatrix(m.to_array() * scale)
     a, b = build_zero_pattern(m), build_zero_pattern(scaled)
-    assert all(np.array_equal(a.array[i], b.array[i]) for i in range(m.n))
+    assert np.array_equal(a.to_array(), b.to_array())
 
 
 @given(symmetric_matrices(max_n=7), st.randoms(use_true_random=False))
@@ -293,8 +292,10 @@ def test_zero_pattern_copies_its_input():
     zero[0, 1] = zero[1, 0] = False
     assert pattern.has_zero(0, 1)
     assert zero.flags.writeable
-    # build_zero_pattern hands over the matrix it built, still read-only
-    assert not build_zero_pattern(SymmetricMatrix(np.eye(2))).array.flags.writeable
+    # to_array builds a new matrix each call
+    rebuilt = pattern.to_array()
+    rebuilt[0, 1] = rebuilt[1, 0] = False
+    assert pattern.has_zero(0, 1)
 
 
 def test_owned_pattern_skips_the_second_transpose_check(monkeypatch):
@@ -308,25 +309,79 @@ def test_owned_pattern_skips_the_second_transpose_check(monkeypatch):
     )
     pattern = build_zero_pattern(m)
     assert checked == []
-    ZeroPattern(pattern.array)
+    ZeroPattern(pattern.to_array())
     assert checked == [(3, 3)]
 
 
-@pytest.mark.parametrize("n", WORD_EDGES)
-def test_packed_rows_read_only_padded_and_built_once(n):
+def word_edge_zeros(n):
+    """A random symmetric zero matrix of n units in which unit 0 is zero to
+    every other unit, so that its row fills every column up to the last."""
     rng = np.random.default_rng(n)
     upper = np.triu(rng.random((n, n)) < 0.5, 1)
-    pattern = ZeroPattern(upper | upper.T)
-    rows = pattern._packed_rows()
+    upper[0, 1:] = True
+    return upper | upper.T
+
+
+@pytest.mark.parametrize("n", WORD_EDGES)
+def test_zero_pattern_reads_back_the_matrix_it_was_built_from(n):
+    zero = word_edge_zeros(n)
+    pattern = ZeroPattern(zero)
+    rebuilt = pattern.to_array()
+    assert rebuilt.dtype == bool and np.array_equal(rebuilt, zero)
+    assert repr(pattern) == f"ZeroPattern(n={n}, zero_pairs={np.count_nonzero(zero) // 2})"
+    for i in range(n):
+        assert pattern.partners(i) == tuple(np.flatnonzero(zero[i]).tolist())
+        assert pattern.zero_count(i) == np.count_nonzero(zero[i])
+        assert [pattern.has_zero(i, j) for j in range(n)] == zero[i].tolist()
+    # the private readers the search uses, on unit and column subsets
+    rng = np.random.default_rng(n + 1)
+    for units, columns in [
+        (np.arange(n), np.arange(n)),
+        (np.flatnonzero(rng.random(n) < 0.5), np.flatnonzero(rng.random(n) < 0.5)),
+        (np.array([n - 1, 0, n - 1]), np.array([n - 1], dtype=np.intp)),
+        (np.array([], dtype=np.intp), np.array([], dtype=np.intp)),
+    ]:
+        assert np.array_equal(pattern._rows(units), zero[units])
+        assert np.array_equal(pattern._zero_counts(units), zero[units].sum(axis=1))
+        expected = zero[np.ix_(units, columns)].sum(axis=1)
+        assert np.array_equal(pattern._zero_counts(units, columns), expected)
+        assert pattern._zero_counts(units, columns, total=True) == expected.sum()
+        assert pattern._zero_counts(units, total=True) == zero[units].sum()
+
+
+@pytest.mark.parametrize("n", WORD_EDGES)
+def test_zero_pattern_messages_at_word_edges(n):
+    zero = word_edge_zeros(n)
+    zero[n - 1, n - 1] = True
+    with pytest.raises(ValueError, match=f"^unit {n - 1} may not be its own zero partner$"):
+        ZeroPattern(zero)
+    if n > 1:
+        zero[n - 1, n - 1] = False
+        zero[0, n - 1] = False
+        with pytest.raises(ValueError, match=rf"^zero pattern not symmetric at \(0,{n - 1}\)$"):
+            ZeroPattern(zero)
+
+
+@pytest.mark.parametrize("n", WORD_EDGES)
+def test_packed_rows_read_only_padded_and_built_once(n, monkeypatch):
+    packed = []
+    pack = matrix._pack_rows
+    monkeypatch.setattr(matrix, "_pack_rows", lambda zero: packed.append(zero.shape) or pack(zero))
+    zero = word_edge_zeros(n)
+    pattern = ZeroPattern(zero)
+    assert packed == [(n, n)]
+    # the packed rows are all the pattern holds: n rows of ceil(n/64) words
+    arrays = [getattr(pattern, name) for name in ZeroPattern.__slots__]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == n * -(-n // 64) * 8
+    (rows,) = arrays
     assert rows.dtype == np.uint64 and rows.shape == (n, -(-n // 64))
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 0
-    bits = np.unpackbits(rows.view(np.uint8), axis=1)
-    assert np.array_equal(bits[:, :n], pattern.array)
-    assert not bits[:, n:].any()
-    assert pattern._packed_rows() is rows
-    units = np.flatnonzero(rng.random(n) < 0.5)
-    mask = np.unpackbits(pattern._packed_mask(units).view(np.uint8))
-    assert mask.size == 64 * rows.shape[1]
-    assert np.array_equal(np.flatnonzero(mask), units)
+    # no padding bit is set: the words hold exactly the matrix's zeros
+    assert int(np.bitwise_count(rows).sum()) == np.count_nonzero(zero)
+    # reading the pattern packs nothing more
+    for read in (pattern.to_array, lambda: pattern.partners(0), lambda: repr(pattern)):
+        read()
+    assert packed == [(n, n)]

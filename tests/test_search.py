@@ -322,13 +322,18 @@ def test_candidate_zeros_match_plain_definition(inst):
 
 
 def test_search_packs_the_zero_rows_once(monkeypatch):
-    pattern, grouping = random_instance(3, 200, 3, 0.2)
+    # the rows are packed when the pattern is built, and the search packs
+    # none; the K = 4 case builds the shared tables (see the rule test
+    # below), and K = 6 fixes units in turn
     packed = []
     pack = matrix._pack_rows
     monkeypatch.setattr(matrix, "_pack_rows", lambda zero: packed.append(zero.shape) or pack(zero))
-    result = select_maxima(pattern, grouping, 5)
-    assert sum(len(o.examined) for o in result.outcomes) == 15
-    assert packed == [(200, 200)]
+    for seed, k, m_bar in ((3, 3, 5), (11, 4, 20), (3, 6, 2)):
+        packed.clear()
+        pattern, grouping = random_instance(seed, 200, k, 0.2)
+        result = select_maxima(pattern, grouping, m_bar)
+        assert sum(len(o.examined) for o in result.outcomes) == k * m_bar
+        assert packed == [(200, 200)]
 
 
 # the four-set pair product as it runs, in one-row chunks and in two-row
@@ -438,10 +443,10 @@ def four_group_instance(covered=(), missed=()):
     return ZeroPattern(zero), grouping
 
 
-def count_with_tables(pattern, grouping, unit, batch=()):
-    # alone, or in one batch with the units of ``batch``
+def count_with_tables(pattern, grouping, unit, batch=None):
+    # in a batch of its own, or in ``batch`` with other units of its group
     own = grouping.label(unit)
-    tables = search._shared_tables(pattern.array, grouping, own, {}, batch)
+    tables = search._shared_tables(pattern, grouping, own, {}, batch or [unit])
     partners = group_partners(pattern, grouping, unit)
     return count_identity_submatrices(pattern, grouping, partners, _tables=tables)
 
@@ -470,7 +475,7 @@ def test_shared_tables_at_empty_sets_in_a_batch(covered, missed):
     assert all(units.size for units in partners.values())
     for unit in (0, 1):
         expected = oracle_count(pattern, grouping, unit)
-        assert count_with_tables(pattern, grouping, unit, (0, 1)) == expected
+        assert count_with_tables(pattern, grouping, unit, [0, 1]) == expected
 
 
 @st.composite
@@ -491,18 +496,18 @@ def uneven_four_group_instances(draw):
 @given(uneven_four_group_instances(), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_complement_batches_match_oracle(inst, whole_groups):
-    # every unit of a group in one batch, or each unit alone
+    # every unit of a group in one batch, or each unit in a batch of its own
     pattern, grouping = inst
     for group in range(4):
         units = grouping.member_index(group).tolist()
-        tables = search._shared_tables(
-            pattern.array, grouping, group, {}, units if whole_groups else ()
-        )
-        for unit in units:
-            partners = group_partners(pattern, grouping, unit)
-            got = count_identity_submatrices(pattern, grouping, partners, _tables=tables)
-            assert got == oracle_count(pattern, grouping, unit), (group, unit)
-        assert sorted(tables.counts) == sorted(units)
+        batches = [units] if whole_groups else [[unit] for unit in units]
+        for batch in batches:
+            tables = search._shared_tables(pattern, grouping, group, {}, batch)
+            for unit in batch:
+                partners = group_partners(pattern, grouping, unit)
+                got = count_identity_submatrices(pattern, grouping, partners, _tables=tables)
+                assert got == oracle_count(pattern, grouping, unit), (group, unit)
+            assert sorted(tables.counts) == sorted(batch)
 
 
 def test_search_builds_each_group_block_once(monkeypatch):
