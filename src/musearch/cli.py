@@ -7,18 +7,32 @@ from a config file), and ``fixtures`` (list or extract bundled datasets).
 Exit codes: 0 success (all groups found), 2 when any group reports
 not-found or the oracle disagrees with the search, 1 for unreadable or
 invalid inputs.
+
+Run as a program, the module ends the process with ``os._exit`` once it
+has flushed stdout and stderr. That skips the interpreter's teardown:
+atexit handlers, object finalizers and the clearing of every module. A
+run registers neither handlers nor finalizers, so only the teardown's
+cost goes.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import os
-import sys
-from io import StringIO
-from pathlib import Path
-from typing import TYPE_CHECKING
+
+if __name__ == "__main__":
+    # The imports below leave about 20k objects, most of them numpy's, and
+    # collecting while they load finds little to free. run_main() enables
+    # the collector again once it has frozen them. Imported as a library,
+    # the module leaves the collector alone.
+    gc.disable()
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import sys  # noqa: E402
+from io import StringIO  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import TYPE_CHECKING  # noqa: E402
 
 # OpenBLAS reads this once, when numpy loads, so it must be set before the
 # package imports below load numpy. On inputs up to N = 2000 with K <= 5, a
@@ -354,13 +368,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def run_main() -> None:
     """Entry point of ``musearch`` and ``python -m musearch.cli``."""
-    # At exit the interpreter runs full collections over every tracked
-    # object, and after the imports above that is about 20k objects, most
-    # of them numpy's: 20-30 ms of each `musearch run` call on a 2-core
-    # host. Frozen objects are left out of every collection; what main()
-    # makes is still collected. main() itself does not freeze, since tests
-    # and the benchmark call it many times in one process.
+    # Collections leave frozen objects out. Freezing the ~20k objects the
+    # imports left, most of them numpy's, keeps every collection main()
+    # sets off away from them; it also empties the young generation, so
+    # that enabling the collector sets off none over them. main() itself
+    # leaves the collector alone, since tests and the benchmark call it
+    # many times in one process.
     gc.freeze()
+    gc.enable()
     try:
         try:
             code = main()
@@ -368,13 +383,19 @@ def run_main() -> None:
             code = exc.code
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # The reader closed stdout before the report was flushed. The
-        # interpreter flushes it again at exit, which would fail once more,
-        # with an "Exception ignored" message and exit code 120.
+        # The reader closed stdout before the report was flushed.
         print(f"error: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    # With the output flushed, the interpreter's teardown would run no
+    # atexit handler or finalizer of the run, which registers none. It
+    # would only clear every module, 3-4 ms of each call, and flush
+    # stdout again, which fails once more after a closed pipe with an
+    # "Exception ignored" message and exit code 120.
+    os._exit(0 if code is None else code)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ caller passes (the command line passes the grouping's), so trailing
 units may have no entries; without one, it is the largest index seen.
 Groupings are CSV lines ``unit,group`` with 1-based units and group
 labels 1..k.
+
+Every reader closes its files and maps before it returns, on error too,
+and registers no atexit handler or finalizer. So a process may end with
+``os._exit``, as the command line does, which runs neither and skips
+the interpreter's teardown, without losing anything a read left open.
 """
 
 from __future__ import annotations
@@ -86,13 +91,11 @@ def _load_lines(
     # Commas mean a dense CSV; bare whitespace means triplets.
     dense = "," in first
     try:
-        if not dense and path is not None:
-            return _load_triplets(path, n)
+        if not dense:
+            return _load_triplets(lines, n, path)
         with lines() as text:
             nonblank = (line for line in text if line.strip())
-            if dense:
-                return np.loadtxt(nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-            return _load_triplets(nonblank, n)
+            return np.loadtxt(nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         reason = str(exc)
     with lines() as text:
@@ -183,23 +186,59 @@ def _load_fixed_width(data: bytes | mmap.mmap) -> tuple[np.ndarray, int] | None:
 
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
+# integer values below this are exact in float64, so keeping them as
+# integers changes no value
+_EXACT_INTEGERS = 2**53
 
 
-def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
-    t = np.loadtxt(source, dtype=_TRIPLET, comments=None, ndmin=1)
-    i, j, value = t["i"] - 1, t["j"] - 1, t["value"]
-    if min(i.min(), j.min()) < 0 or not np.isfinite(value).all():
+def _load_triplets(
+    lines: Callable[[], ContextManager[Iterable[str]]], n: int | None, path: Path | None
+) -> np.ndarray:
+    """The n-by-n matrix of a triplet file, read from ``path`` if given.
+
+    A file of three integer columns whose values are all in 0..2**53 - 1
+    is kept as integers, in the narrowest unsigned dtype of
+    ``_MANTISSA_DTYPES`` that holds them: for a 0/1 matrix that is an
+    eighth of a float64 one. Any other file is read as floats.
+    """
+
+    def rows(dtype: np.dtype, ndmin: int) -> np.ndarray:
+        if path is not None:
+            return np.loadtxt(path, dtype=dtype, comments=None, ndmin=ndmin)
+        with lines() as text:
+            nonblank = (line for line in text if line.strip())
+            return np.loadtxt(nonblank, dtype=dtype, comments=None, ndmin=ndmin)
+
+    try:
+        t = rows(np.int64, 2)
+    except ValueError:  # a real value, or an integer beyond int64
+        t = None
+    if t is not None and t.shape[1] == 3 and 0 <= t[:, 2].min() and t[:, 2].max() < _EXACT_INTEGERS:
+        i, j, value = t.T
+        largest = int(value.max())
+        dtype = next(d for d in _MANTISSA_DTYPES if largest <= np.iinfo(d).max)
+    else:
+        t = rows(_TRIPLET, 1)
+        i, j, value = t["i"], t["j"], t["value"]
+        if not np.isfinite(value).all():
+            raise ValueError("invalid triplet")
+        dtype = np.float64
+    i, j = i - 1, j - 1
+    if min(i.min(), j.min()) < 0:
         raise ValueError("invalid triplet")
     top = int(max(i.max(), j.max())) + 1
     if n is None:
         n = top
     elif top > n:
         raise ValueError(f"index {top} out of range for n={n}")
-    a = np.zeros((n, n))
-    a[i, j] = value
-    a[j, i] = value
+    a = np.zeros((n, n), dtype=dtype)
+    # flat indices into a's one contiguous buffer index faster than (i, j)
+    flat = a.reshape(-1)
+    upper, lower = i * n + j, j * n + i
+    flat[upper] = value
+    flat[lower] = value
     # a duplicate that disagrees leaves one of its two cells unequal to it
-    if (a[i, j] != value).any() or (a[j, i] != value).any():
+    if (flat[upper] != value).any() or (flat[lower] != value).any():
         raise ValueError("conflicting duplicate triplets")
     return a
 

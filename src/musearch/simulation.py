@@ -252,24 +252,23 @@ def _record(
 def run_scenario_grid(cfg: ScenarioConfig) -> ScenarioReport:
     """Run the search on every (n, k, m_bar, p) cell and repetition.
 
-    Records appear in nested loop order n, k, m_bar, p, repetition. A
-    not-found group is recorded, never raised. Timing wraps the search
-    call only.
+    Records appear in nested loop order n, k, m_bar, p, repetition. Each
+    instance and its zero pattern are built once and searched at every
+    m_bar. A not-found group is recorded, never raised. Timing wraps the
+    search call only.
     """
     records = []
     for n in cfg.n_values:
         for k in cfg.k_values:
+            instances = []
+            for p_index, p in enumerate(cfg.p_values):
+                for rep in range(cfg.repetitions):
+                    seed, matrix, grouping = instance_for_cell(cfg, n, k, p_index, rep)
+                    instances.append((p, rep, seed, build_zero_pattern(matrix), grouping))
             for m_bar in cfg.m_bar_values:
-                for p_index, p in enumerate(cfg.p_values):
-                    for rep in range(cfg.repetitions):
-                        seed, matrix, grouping = instance_for_cell(
-                            cfg, n, k, p_index, rep
-                        )
-                        pattern = build_zero_pattern(matrix)
-                        start = time.perf_counter()
-                        result = select_maxima(pattern, grouping, m_bar)
-                        elapsed = time.perf_counter() - start
-                        records.append(
-                            _record(n, k, m_bar, p, rep, seed, result, elapsed)
-                        )
+                for p, rep, seed, pattern, grouping in instances:
+                    start = time.perf_counter()
+                    result = select_maxima(pattern, grouping, m_bar)
+                    elapsed = time.perf_counter() - start
+                    records.append(_record(n, k, m_bar, p, rep, seed, result, elapsed))
     return ScenarioReport(config=cfg, records=tuple(records))

@@ -573,6 +573,78 @@ def test_main_leaves_the_collector_as_it_was(fixture_files, capsys):
     assert (gc.get_freeze_count(), gc.isenabled()) == state
 
 
+# run_main() ends the process with os._exit once it has flushed the output,
+# which skips the interpreter's teardown; and the module disables the
+# collector while a script's imports load. Each of these runs in a fresh
+# process.
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_script_output_to_a_file_is_what_main_gives(fixture_files, tmp_path, capsys, unbuffered):
+    matrix, groups = fixture_files["tennis"]
+    for fmt in ("text", "json", "csv"):
+        argv = ["run", "--matrix", matrix, "--groups", groups, "--format", fmt]
+        out = tmp_path / f"out.{fmt}"
+        with out.open("w") as file:
+            done = run_script(*argv, stdout=file, PYTHONUNBUFFERED=unbuffered)
+        assert (done.returncode, out.read_text(), done.stderr) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["run", "--help"], 0), ([], 2), (["run", "--m-bar", "x"], 2)],
+    ids=["help", "run-help", "no-command", "usage-error"],
+)
+def test_script_exits_as_argparse_does(capsys, argv, code):
+    done = run_script(*argv)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == done.returncode == code
+    assert (done.stdout, done.stderr) == (captured.out, captured.err)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_importing_the_cli_leaves_the_collector_as_it_was(enabled):
+    switch = "gc.enable()" if enabled else "gc.disable()"
+    out = run_fresh_python(f"import gc; {switch}; import musearch.cli; print(gc.isenabled())")
+    assert out.strip() == str(enabled)
+
+
+def test_script_runs_no_collection_while_its_imports_load(fixture_files):
+    # counted from when the module starts to run as __main__ until run_main()
+    # freezes the heap; the callback writes straight to the descriptor, which
+    # os._exit leaves as it is
+    matrix, groups = fixture_files["tennis"]
+    code = (
+        "import gc, os, runpy, sys\n"
+        "def seen(phase, info):\n"
+        "    spec = getattr(sys.modules['__main__'], '__spec__', None)\n"
+        "    if phase == 'start' and not gc.get_freeze_count()"
+        " and getattr(spec, 'name', None) == 'musearch.cli':\n"
+        "        os.write(2, b'collected\\n')\n"
+        "gc.callbacks.append(seen)\n"
+        "runpy.run_module('musearch.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    done = fresh_python(["-c", code, "run", "--matrix", matrix, "--groups", groups])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "maxima:" in done.stdout
+
+
+def test_main_registers_no_exit_handler(fixture_files):
+    # os._exit would skip an atexit handler, and weakref.finalize registers one
+    matrix, groups = fixture_files["tennis"]
+    out = run_fresh_python(
+        "import atexit, musearch.cli as cli\n"
+        "before = atexit._ncallbacks()\n"
+        f"code = cli.main(['run', '--matrix', {matrix!r}, '--groups', {groups!r}])\n"
+        "print(code, before, atexit._ncallbacks())\n"
+    )
+    code, before, after = map(int, out.split()[-3:])
+    assert code == 0
+    assert after == before
+
+
 @pytest.fixture
 def large_report_files(tmp_path):
     # every off-diagonal entry is zero, so all 300 units are candidates and

@@ -321,6 +321,128 @@ def test_read_triplets_index_beyond_n(tmp_path):
         read_matrix(path, n=2)
 
 
+# Triplet files whose values are all integers in 0..2**53 - 1 are kept as
+# integers; every other file is read as floats. Patching the bound to 0
+# sends every file down the float path, the reference here.
+_INTEGER_VALUES = ["0", "1", "255", "256", "65536", str(2**32), str(2**53 - 1), "+7", "007", "-0"]
+_OTHER_VALUES = [str(2**53), str(2**53 + 1), str(2**64), "-1", "2.5", "1.0", "1e3", "nan"]
+_EPSILONS = (0.0, 0.5, 1.0, 2.5)
+
+
+@st.composite
+def triplet_file(draw):
+    """Triplet text over units 1..n with indices from 0 up to n + 1, so
+    some are invalid, and values mostly integers; duplicates, agreeing or
+    not, come from the few indices. Also n, or None to size by the file."""
+    n = draw(st.integers(1, 4))
+    values = draw(
+        st.lists(st.sampled_from(_INTEGER_VALUES), min_size=1, max_size=3)
+        | st.lists(st.sampled_from(_INTEGER_VALUES + _OTHER_VALUES), min_size=1, max_size=3)
+    )
+    index = st.integers(0, n + 1) if draw(st.booleans()) else st.integers(1, n)
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        i, j, value = draw(index), draw(index), draw(st.sampled_from(values))
+        lines.append(f"{i} {j} {value}")
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text, draw(st.sampled_from([n, None]))
+
+
+def _triplet_outcome(read, source):
+    """The dtype the matrix is kept in, its values and its zero patterns at
+    each of _EPSILONS, or the error message with ``source`` named ``<m>``."""
+    try:
+        m = read()
+    except ValueError as exc:
+        return str(exc).replace(source, "<m>")
+    patterns = [build_zero_pattern(m, e).to_array().tolist() for e in _EPSILONS]
+    return m._data.dtype, m.to_array().tolist(), patterns
+
+
+def _read_triplets(text, n, directory):
+    """The outcomes of reading ``text`` from a regular file, from a pipe,
+    and from the file as floats."""
+    path = directory / "m.txt"
+    path.write_text(text)
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    pipe = f"/dev/fd/{r}"
+    try:
+        from_pipe = _triplet_outcome(lambda: read_matrix(pipe, n), pipe)
+    finally:
+        os.close(r)
+    from_file = _triplet_outcome(lambda: read_matrix(path, n), str(path))
+    with mock.patch.object(fileio, "_EXACT_INTEGERS", 0):
+        floats = _triplet_outcome(lambda: read_matrix(path, n), str(path))
+    return from_file, from_pipe, floats
+
+
+def _values(outcome):
+    return outcome if isinstance(outcome, str) else outcome[1:]
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@given(case=triplet_file())
+@settings(max_examples=300)
+def test_integer_triplets_match_float_path(directory, case):
+    text, n = case
+    from_file, from_pipe, floats = _read_triplets(text, n, directory)
+    assert from_file == from_pipe
+    assert _values(from_file) == _values(floats)
+    if not isinstance(from_file, str):
+        values = [line.split()[2] for line in text.splitlines() if line.strip()]
+        integer = all(v in _INTEGER_VALUES for v in values)
+        assert (from_file[0].kind == "u") == integer
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "value, dtype",
+    [
+        ("0", np.uint8),
+        ("1", np.uint8),
+        ("255", np.uint8),
+        ("256", np.uint16),
+        ("65536", np.uint32),
+        (str(2**32), np.uint64),
+        (str(2**53 - 1), np.uint64),
+        (str(2**53), np.float64),
+        ("-1", np.float64),
+        ("2.5", np.float64),
+        ("1.0", np.float64),
+    ],
+)
+def test_integer_triplets_take_the_narrowest_dtype(tmp_path, value, dtype):
+    # the value sits off the diagonal beside a 1, blank lines between, and
+    # the last line has no '\n'
+    from_file, from_pipe, floats = _read_triplets(f"1 1 1\n\n2 1 {value}\n  \n2 2 1", 3, tmp_path)
+    assert from_file == from_pipe
+    assert from_file[0] == dtype
+    assert _values(from_file) == _values(floats)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("1000000000000 1 1\n", None),  # no room for the matrix
+        ("1 2 1\n2 2 1\n2 1 2\n", None),
+        ("1 1 1\n0 2 1\n", None),
+        ("1 1 1\n3 1 1\n", 2),
+        ("1 2\n", None),
+        ("1 2 1 4\n", None),
+        ("1 2 1\n2 2\n", None),
+    ],
+)
+def test_integer_triplets_fail_as_floats_do(tmp_path, text, n):
+    from_file, from_pipe, floats = _read_triplets(text, n, tmp_path)
+    assert isinstance(from_file, str)
+    assert from_file == from_pipe == floats
+
+
 @st.composite
 def fixed_width_csv(draw, digit_counts=st.integers(0, 16), min_lines=1, min_cols=1):
     """CSV text whose fields all have one width, with a '.' at one shared

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from musearch import simulation
 from musearch.matrix import build_zero_pattern
 from musearch.simulation import (
     ScenarioConfig,
@@ -130,6 +133,35 @@ def test_same_instance_across_m_bar():
         key = (r.n, r.k, r.p, r.repetition)
         seeds.setdefault(key, set()).add(r.seed)
     assert all(len(s) == 1 for s in seeds.values())
+
+
+def test_grid_builds_each_instance_once_and_keeps_its_csv(monkeypatch):
+    # the digest is of the CSV that the grid gave when it generated each
+    # instance anew for every m_bar cell
+    cfg = ScenarioConfig(
+        n_values=(24, 40),
+        k_values=(2, 3),
+        m_bar_values=(1, 2, 4),
+        p_values=(0.3, 0.6),
+        seed=7,
+        repetitions=2,
+    )
+    calls = []
+    build = simulation.instance_for_cell
+    monkeypatch.setattr(
+        simulation, "instance_for_cell", lambda *args: calls.append(args[1:]) or build(*args)
+    )
+    csv_text = run_scenario_grid(cfg).to_csv_text()
+    assert hashlib.sha256(strip_timing(csv_text).encode()).hexdigest() == (
+        "305bc5a3291c95bc86414092d01965b4e38d671b46ade1e438f6c7ecc69bacb4"
+    )
+    assert sorted(calls) == [
+        (n, k, p_index, rep)
+        for n in cfg.n_values
+        for k in cfg.k_values
+        for p_index in range(len(cfg.p_values))
+        for rep in range(cfg.repetitions)
+    ]
 
 
 def test_selected_counts_non_decreasing_across_m_bar():
