@@ -17,22 +17,22 @@ cost goes.
 
 from __future__ import annotations
 
+import argparse
 import gc
+import json
+import os
+import sys
+from io import StringIO
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 if __name__ == "__main__":
-    # The imports below leave about 20k objects, most of them numpy's, and
-    # collecting while they load finds little to free. run_main() enables
-    # the collector again once it has frozen them. Imported as a library,
+    # The package imports below leave about 20k objects, most of them
+    # numpy's, and collecting while they load finds little to free.
+    # run_main() enables the collector again once it has frozen them.
+    # Imported as a library, as the ``musearch`` command's script does,
     # the module leaves the collector alone.
     gc.disable()
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import sys  # noqa: E402
-from io import StringIO  # noqa: E402
-from pathlib import Path  # noqa: E402
-from typing import TYPE_CHECKING  # noqa: E402
 
 # OpenBLAS reads this once, when numpy loads, so it must be set before the
 # package imports below load numpy. On inputs up to N = 2000 with K <= 5, a

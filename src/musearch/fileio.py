@@ -91,11 +91,13 @@ def _load_lines(
     # Commas mean a dense CSV; bare whitespace means triplets.
     dense = "," in first
     try:
-        if not dense:
-            return _load_triplets(lines, n, path)
+        if not dense and path is not None:
+            return _load_triplets(path, n)
         with lines() as text:
             nonblank = (line for line in text if line.strip())
-            return np.loadtxt(nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            if dense:
+                return np.loadtxt(nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            return _load_triplets(nonblank, n)
     except ValueError as exc:
         reason = str(exc)
     with lines() as text:
@@ -191,41 +193,25 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
 _EXACT_INTEGERS = 2**53
 
 
-def _load_triplets(
-    lines: Callable[[], ContextManager[Iterable[str]]], n: int | None, path: Path | None
-) -> np.ndarray:
-    """The n-by-n matrix of a triplet file, read from ``path`` if given.
+def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
+    """The n-by-n matrix of a triplet file.
 
-    A file of three integer columns whose values are all in 0..2**53 - 1
-    is kept as integers, in the narrowest unsigned dtype of
-    ``_MANTISSA_DTYPES`` that holds them: for a 0/1 matrix that is an
-    eighth of a float64 one. Any other file is read as floats.
+    When every value is an integer in 0..2**53 - 1, as in a 0/1 matrix,
+    the matrix is kept in the narrowest unsigned dtype of
+    ``_MANTISSA_DTYPES`` that holds them: for a 0/1 matrix an eighth of a
+    float64 one. Such values are exact in float64, so the cast changes
+    none. Any other file keeps its values as float64.
     """
-
-    def rows(dtype: np.dtype, ndmin: int) -> np.ndarray:
-        if path is not None:
-            return np.loadtxt(path, dtype=dtype, comments=None, ndmin=ndmin)
-        with lines() as text:
-            nonblank = (line for line in text if line.strip())
-            return np.loadtxt(nonblank, dtype=dtype, comments=None, ndmin=ndmin)
-
-    try:
-        t = rows(np.int64, 2)
-    except ValueError:  # a real value, or an integer beyond int64
-        t = None
-    if t is not None and t.shape[1] == 3 and 0 <= t[:, 2].min() and t[:, 2].max() < _EXACT_INTEGERS:
-        i, j, value = t.T
-        largest = int(value.max())
-        dtype = next(d for d in _MANTISSA_DTYPES if largest <= np.iinfo(d).max)
-    else:
-        t = rows(_TRIPLET, 1)
-        i, j, value = t["i"], t["j"], t["value"]
-        if not np.isfinite(value).all():
-            raise ValueError("invalid triplet")
-        dtype = np.float64
-    i, j = i - 1, j - 1
-    if min(i.min(), j.min()) < 0:
+    t = np.loadtxt(source, dtype=_TRIPLET, comments=None, ndmin=1)
+    i, j, value = t["i"] - 1, t["j"] - 1, t["value"]
+    if min(i.min(), j.min()) < 0 or not np.isfinite(value).all():
         raise ValueError("invalid triplet")
+    largest = value.max()
+    if 0 <= value.min() and largest < _EXACT_INTEGERS and (np.trunc(value) == value).all():
+        dtype = next(d for d in _MANTISSA_DTYPES if largest <= np.iinfo(d).max)
+        value = value.astype(dtype)
+    else:
+        dtype = np.float64
     top = int(max(i.max(), j.max())) + 1
     if n is None:
         n = top

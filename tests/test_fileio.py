@@ -2,6 +2,7 @@ import math
 import mmap
 import os
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -322,10 +323,12 @@ def test_read_triplets_index_beyond_n(tmp_path):
 
 
 # Triplet files whose values are all integers in 0..2**53 - 1 are kept as
-# integers; every other file is read as floats. Patching the bound to 0
-# sends every file down the float path, the reference here.
-_INTEGER_VALUES = ["0", "1", "255", "256", "65536", str(2**32), str(2**53 - 1), "+7", "007", "-0"]
-_OTHER_VALUES = [str(2**53), str(2**53 + 1), str(2**64), "-1", "2.5", "1.0", "1e3", "nan"]
+# integers; every other file keeps float64 values. Patching the bound to 0
+# keeps every file as floats, the reference here.
+_INTEGER_VALUES = [
+    "0", "1", "255", "256", "65536", str(2**32), str(2**53 - 1), "+7", "007", "-0", "1.0", "1e3", "-0.0"
+]
+_OTHER_VALUES = [str(2**53), str(2**53 + 1), str(2**64), "-1", "2.5", "0.5", "-0.5", "nan", "inf"]
 _EPSILONS = (0.0, 0.5, 1.0, 2.5)
 
 
@@ -410,9 +413,12 @@ def test_integer_triplets_match_float_path(directory, case):
         (str(2**32), np.uint64),
         (str(2**53 - 1), np.uint64),
         (str(2**53), np.float64),
+        ("1.0", np.uint8),
+        ("1e3", np.uint16),
         ("-1", np.float64),
         ("2.5", np.float64),
-        ("1.0", np.float64),
+        ("0.5", np.float64),
+        ("-0.5", np.float64),
     ],
 )
 def test_integer_triplets_take_the_narrowest_dtype(tmp_path, value, dtype):
@@ -422,6 +428,20 @@ def test_integer_triplets_take_the_narrowest_dtype(tmp_path, value, dtype):
     assert from_file == from_pipe
     assert from_file[0] == dtype
     assert _values(from_file) == _values(floats)
+
+
+@pytest.mark.parametrize("value", ["0.5", "-0.5", "2.5"])
+def test_real_triplets_keep_their_values_with_warnings_at_their_default(tmp_path, value):
+    # Under the default warning filter, a reader that parsed integers first
+    # and let numpy truncate a real value to an integer with only a
+    # DeprecationWarning would turn 0.5 into a zero.
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 1 1\n2 1 {value}\n2 2 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        m = read_matrix(path)
+    assert m._data.dtype == np.float64
+    assert m.to_array()[1, 0] == float(value)
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
