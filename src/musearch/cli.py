@@ -229,8 +229,7 @@ def _oracle_payload(grouping, report, disagreements) -> dict:
             }
             for g in range(grouping.k)
         ],
-        "identity_tuples": len(report.tuples),
-        "truncated": report.truncated,
+        "identity_tuples": report.total,
         "search_agrees": not disagreements,
     }
 
@@ -244,8 +243,7 @@ def _oracle_text(grouping, report, disagreements) -> str:
         out.write(
             f"group {g + 1}: max={report.max_by_group[g]} argmax={{{argmax}}}\n"
         )
-    out.write(f"identity tuples: {len(report.tuples)}")
-    out.write(" (truncated)\n" if report.truncated else "\n")
+    out.write(f"identity tuples: {report.total}\n")
     if disagreements:
         shown = ", ".join(str(g + 1) for g in disagreements)
         out.write(f"WARNING: search disagrees with oracle in groups {shown}\n")

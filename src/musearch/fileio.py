@@ -98,6 +98,11 @@ def _load_lines(
             if dense:
                 return np.loadtxt(nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
             return _load_triplets(nonblank, n)
+    except _TooLarge as exc:
+        row, reason = exc.args
+        with lines() as text:
+            lineno = [number for number, _ in _numbered_lines(text)][row]
+        raise ValueError(f"{source}:{lineno}: {reason}") from None
     except ValueError as exc:
         reason = str(exc)
     with lines() as text:
@@ -193,6 +198,10 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
 _EXACT_INTEGERS = 2**53
 
 
+class _TooLarge(Exception):
+    """A triplet matrix too large to allocate: (its largest index's row, why)."""
+
+
 def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     """The n-by-n matrix of a triplet file.
 
@@ -215,9 +224,15 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     top = int(max(i.max(), j.max())) + 1
     if n is None:
         n = top
+        try:
+            a = np.zeros((n, n), dtype=dtype)
+        except (MemoryError, ValueError):  # ValueError: too big to address
+            reason = f"index {n} asks for a {n}-by-{n} matrix, more than can be allocated"
+            raise _TooLarge(int(np.argmax(np.maximum(i, j))), reason) from None
     elif top > n:
         raise ValueError(f"index {top} out of range for n={n}")
-    a = np.zeros((n, n), dtype=dtype)
+    else:
+        a = np.zeros((n, n), dtype=dtype)
     # flat indices into a's one contiguous buffer index faster than (i, j)
     flat = a.reshape(-1)
     upper, lower = i * n + j, j * n + i

@@ -23,16 +23,15 @@ TUPLE_TEST_LIMIT = 10**8
 class OracleReport:
     """Exhaustive per-unit counts and per-group argmax sets.
 
-    ``tuples`` lists every identity tuple (one unit per group, sorted by
-    group label) up to ``tuple_limit``; ``truncated`` flags an overflow.
-    Argmax sets are empty for groups whose best count is zero.
+    ``total`` counts the identity tuples, one unit per group: the sum of
+    the counts over any one group. Argmax sets are empty for groups whose
+    best count is zero.
     """
 
     counts: tuple[int, ...]
     max_by_group: tuple[int, ...]
     argmax_by_group: tuple[tuple[int, ...], ...]
-    tuples: tuple[tuple[int, ...], ...]
-    truncated: bool
+    total: int
 
 
 def _zero_sets(zero_pattern: ZeroPattern) -> list[set[int]]:
@@ -63,9 +62,7 @@ def oracle_count(zero_pattern: ZeroPattern, grouping: Grouping, unit: int) -> in
     return count
 
 
-def oracle_maxima(
-    zero_pattern: ZeroPattern, grouping: Grouping, tuple_limit: int = 10_000
-) -> OracleReport:
+def oracle_maxima(zero_pattern: ZeroPattern, grouping: Grouping) -> OracleReport:
     """Exhaustive counts for every unit, via one pass over all tuples.
 
     Walks the full product of the groups (not candidate subsets), so the
@@ -81,16 +78,10 @@ def oracle_maxima(
         )
     zero_sets = _zero_sets(zero_pattern)
     counts = [0] * zero_pattern.n
-    kept: list[tuple[int, ...]] = []
-    truncated = False
     for combo in itertools.product(*groups):
         if _is_identity(combo, zero_sets):
             for u in combo:
                 counts[u] += 1
-            if len(kept) < tuple_limit:
-                kept.append(combo)
-            else:
-                truncated = True
     max_by_group = []
     argmax_by_group = []
     for members in groups:
@@ -104,6 +95,5 @@ def oracle_maxima(
         counts=tuple(counts),
         max_by_group=tuple(max_by_group),
         argmax_by_group=tuple(argmax_by_group),
-        tuples=tuple(kept),
-        truncated=truncated,
+        total=sum(counts[u] for u in groups[0]),
     )

@@ -10,11 +10,11 @@ not involve the candidate. Finally each group selects the candidate with
 the largest count, ties going to the lowest unit index.
 
 A count is the number of cliques with one vertex per partner set in the
-zero graph, counted exactly: matrix products run in float32 only where
-every entry stays below 2^24, and are summed in int64. Two sets take one
-popcount, three one product. Four take one product over the zero pairs of
-the two smallest sets; more than four fix each unit of the smallest set in
-turn, down to four. The zero pattern is read as bool rows or zero counts.
+zero graph, counted exactly. Two sets take one popcount, three or more
+one frontier kernel: a masked float32 product, summed in int64, over
+chunks of fewer than 2^24 rows, which keeps every entry exact. More than
+four sets first fix each unit of the smallest once. The zero pattern is
+read as bool rows or zero counts.
 
 Three sets (K = 4) may instead be counted through their complements in
 the full other groups, by inclusion-exclusion against triangle tables
@@ -164,20 +164,20 @@ def group_partners(
 
 
 # float32 holds every integer below this exactly, and an entry of a
-# product of 0/1 matrices is at most their inner dimension: |B| for
-# Z[A,B] @ Z[B,C], the rows of a chunk for the pair product, a full group
-# for the shared K = 4 tables. The int64 sums are at most the number of
-# cliques, far below 2^63 for any zero matrix that fits in memory.
+# product of 0/1 matrices is at most their inner dimension: the rows of a
+# frontier chunk, fewer by construction, or a full group for the shared
+# K = 4 tables, which refuse a larger one. The int64 sums are at most the
+# number of cliques, far below 2^63 for any matrix that fits in memory.
 _FLOAT32_EXACT = 2**24
 # float64 holds every integer below this exactly. The complement terms of
 # a K = 4 group are float64 sums of table entries, each partial sum at
 # most |G_A||G_B||G_C|, the number of triples across the full groups.
 _FLOAT64_EXACT = 2**53
-# Mask cells (rows times |C| + |D|) per chunk of the pair product, so that
-# its temporaries stay near 5 MB. On sets of 100 to 400 units, 2^20 was
-# faster than 2^18, 2^19 or 2^21: smaller chunks pay more calls per row,
-# larger ones fall out of cache.
-_FRONTIER_CELLS = 2**20
+# Rows per chunk of an extended frontier. A fixed count of mask cells was
+# either too few rows to keep BLAS busy on wide sets or, on narrow ones,
+# enough memory per chunk that the allocator returned it and faulted it in
+# again each chunk (CHANGES.md).
+_FRONTIER_ROWS = 2**10
 
 
 def count_identity_submatrices(
@@ -193,13 +193,13 @@ def count_identity_submatrices(
     such that every pair among them is zero (pairs with the candidate are
     zero already, by construction of the partner sets). That is the number
     of cliques with one vertex per partner set in the zero graph. One set
-    counts its size. Two count the zeros of the smaller set's rows within
-    the other set, in int64. Three count triangles by a float32 matrix
-    product summed in int64. Four sets A <= B <= C <= D are counted by the
-    same kind of product over the zero pairs (a, b) of A and B, taken in
-    chunks of pairs. With more than four, each unit of the smallest set is
-    fixed in turn and the other sets shrink to its zero partners, down to
-    four.
+    counts its size, two the zeros of the smaller set's rows within the
+    other, in int64. Three or more, smallest first, grow a frontier of
+    cliques over every set but the last two, C and D, one set at a time;
+    each row keeps its common zeros in the sets ahead, and the final rows
+    add the sum of (M_C.T @ M_D) * Z[C,D] over their zeros M_C in C and
+    M_D in D. With more than four sets each unit of the smallest is fixed
+    once, and the others shrink to its zero partners first.
 
     ``select_maxima`` may pass the private ``_tables`` of the candidate's
     group (K = 4 only), whose batch holds the candidate. The count is then
@@ -214,58 +214,54 @@ def count_identity_submatrices(
 
 
 def _count_cliques(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
-    if any(s.size == 0 for s in sets):
-        return 0
     if len(sets) == 1:
         return int(sets[0].size)
     sets = sorted(sets, key=len)
     if len(sets) == 2:
-        a, b = sets
-        return int(zero_pattern._zero_counts(a, b, total=True))
-    if len(sets) == 3:
-        return _count_triangles(zero_pattern, *sets)
-    if len(sets) == 4:
-        return _count_four(zero_pattern, *sets)
-    smallest, rest = sets[0], sets[1:]
+        return int(zero_pattern._zero_counts(*sets, total=True))
+    if len(sets) <= 4:
+        return _count_frontier(zero_pattern, sets)
     return sum(
-        _count_cliques(zero_pattern, [s[zeros[s]] for s in rest])
-        for zeros in zero_pattern._rows(smallest)
+        _count_frontier(zero_pattern, sorted((s[zeros[s]] for s in sets[1:]), key=len))
+        for zeros in zero_pattern._rows(sets[0])
     )
 
 
-def _count_triangles(zero_pattern: ZeroPattern, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
-    if b.size >= _FLOAT32_EXACT:
-        raise ValueError(
-            f"partner sets of sizes {a.size}, {b.size}, {c.size} are too large "
-            "for an exact count"
-        )
-    # the mask is taken C-contiguous, in the product's own layout: as
-    # Fortran-ordered rows_a[:, c] it costs about as much as the product
-    rows_a = zero_pattern._rows(a)
-    ab = rows_a[:, b].astype(np.float32)
-    bc = zero_pattern._rows(b)[:, c].astype(np.float32)
-    return int(((ab @ bc) * np.take(rows_a, c, axis=1)).sum(dtype=np.int64))
+def _count_frontier(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
+    """The cliques across three or more ``sets``, smallest first."""
+    if not sets[0].size:
+        return 0
+    # Z[S_i,S_j] is Z[S_j,S_i] transposed: that column gather is laid out in
+    # Fortran order, so the block is C-contiguous, for gathers of its rows
+    rows = [zero_pattern._rows(s) for s in sets[1:]]
+    blocks = [[r[:, s].T for r in rows[i:]] for i, s in enumerate(sets[:-1])]
+    blocks[-1][0] = blocks[-1][0].astype(np.float32)  # only multiplied
+    return _extend(blocks[1:], blocks[0])
 
 
-def _count_four(
-    zero_pattern: ZeroPattern, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
-) -> int:
-    # the rows are the zero pairs (a, b); np.take keeps the blocks
-    # C-contiguous, so that the rows gathered per pair are contiguous too
-    rows_a, rows_b = zero_pattern._rows(a), zero_pattern._rows(b)
-    ia, ib = np.nonzero(np.take(rows_a, b, axis=1))
-    ac, ad = np.take(rows_a, c, axis=1), np.take(rows_a, d, axis=1)
-    bc, bd = np.take(rows_b, c, axis=1), np.take(rows_b, d, axis=1)
-    cd = np.take(zero_pattern._rows(c), d, axis=1)
-    # the (c, d) entry of a chunk's product counts its pairs zero to both c
-    # and d, so it is at most the chunk's rows
-    step = max(1, min(_FLOAT32_EXACT - 1, _FRONTIER_CELLS // (c.size + d.size)))
+def _extend(blocks: list[list[np.ndarray]], masks: list[np.ndarray]) -> int:
+    """The cliques that extend some frontier row by one unit of each set
+    ahead: ``masks[i]`` holds the rows' zeros in the i-th set ahead, and
+    ``blocks[i][j]`` is Z between the i-th and the (i + 1 + j)-th."""
+    if len(masks) == 2:
+        count = 0
+        # an entry counts the rows zero to both c and d, so a product over
+        # fewer than _FLOAT32_EXACT rows is exact
+        for start in range(0, len(masks[0]), _FLOAT32_EXACT - 1):
+            # the cast is about 1.5 times as fast from uint8 as from bool
+            chunk = slice(start, start + _FLOAT32_EXACT - 1)
+            mask_c, mask_d = (m[chunk].view(np.uint8).astype(np.float32) for m in masks)
+            product = mask_c.T @ mask_d
+            product *= blocks[0][0]
+            count += int(product.sum(dtype=np.int64))
+        return count
+    rows, units = np.nonzero(masks[0])
     count = 0
-    for start in range(0, ia.size, step):
-        pa, pb = ia[start : start + step], ib[start : start + step]
-        mask_c = (ac[pa] & bc[pb]).astype(np.float32)
-        mask_d = (ad[pa] & bd[pb]).astype(np.float32)
-        count += int(((mask_c.T @ mask_d) * cd).sum(dtype=np.int64))
+    for start in range(0, rows.size, _FRONTIER_ROWS):
+        r, u = rows[start : start + _FRONTIER_ROWS], units[start : start + _FRONTIER_ROWS]
+        # on small blocks, take gathers rows about twice as fast as indexing
+        ahead = [m.take(r, axis=0) & b.take(u, axis=0) for m, b in zip(masks[1:], blocks[0])]
+        count += _extend(blocks[1:], ahead)
     return count
 
 
@@ -386,7 +382,7 @@ def _gather(block: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
 
 def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:
     """True when a group's shared tables take fewer multiply-adds than its
-    candidates' own triangle products: three products over the full groups
+    candidates' own frontier products: three products over the full groups
     plus the batched product over the candidates' padded complements,
     against one product over each candidate's partner sets. Candidates with
     an empty partner set are in neither."""

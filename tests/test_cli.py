@@ -147,6 +147,10 @@ def test_oracle_json(fixture_files, capsys):
     payload = json.loads(out)
     assert payload["groups"][0]["argmax"] == [2, 3]
     assert payload["search_agrees"] is True
+    # the exact number of identity tuples, the counts of group 1 (units 1-3)
+    # summed, with no truncation flag
+    assert payload["identity_tuples"] == 8
+    assert "truncated" not in payload
 
 
 def test_oracle_csv(fixture_files, capsys):

@@ -2,6 +2,7 @@ import math
 import mmap
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -23,6 +24,8 @@ from musearch.fileio import (
 )
 from musearch.fixtures import FIXTURES, load
 from musearch.matrix import SymmetricMatrix, build_zero_pattern
+
+from conftest import fresh_python
 
 
 def test_parse_dense_csv():
@@ -320,6 +323,29 @@ def test_read_triplets_index_beyond_n(tmp_path):
     path.write_text("1 1 1\n2 2 1\n3 1 1\n")
     with pytest.raises(ValueError, match=r"m\.txt:3: entry \(3,1\) out of range for n=2"):
         read_matrix(path, n=2)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize("unit", [100_000, 10**12])
+def test_read_triplets_without_n_names_an_index_too_large(tmp_path, unit):
+    # sized by their largest index, 10^10 cells cannot be allocated within
+    # the 4 GiB of address space the reading process is capped at, so that
+    # no machine lazily grants them, and 10^24 cells on no machine at all
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 1 1\n\n2 2 1\n{unit} 1 1\n{unit} 2 1\n")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))\n"
+        "from musearch.fileio import read_matrix\n"
+        "try:\n    read_matrix(sys.argv[1])\n"
+        "except ValueError as exc:\n    print(exc)\n"
+    )
+    done = fresh_python(["-c", code, str(path)], OPENBLAS_NUM_THREADS="1")
+    assert (done.stdout, done.stderr) == (
+        f"{path}:4: index {unit} asks for a {unit}-by-{unit} matrix, more than can be "
+        "allocated\n",
+        "",
+    )
 
 
 # Triplet files whose values are all integers in 0..2**53 - 1 are kept as

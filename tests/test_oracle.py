@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from musearch.matrix import Grouping, SymmetricMatrix, build_zero_pattern
+from musearch.matrix import Grouping, SymmetricMatrix, ZeroPattern, build_zero_pattern
 from musearch.oracle import oracle_count, oracle_maxima
 from musearch.search import select_maxima, verify_identity
 
@@ -51,7 +51,7 @@ def test_oracle_maxima_empty_pattern():
     report = oracle_maxima(pattern, grouping)
     assert report.max_by_group == (0, 0)
     assert report.argmax_by_group == ((), ())
-    assert report.tuples == ()
+    assert report.total == 0
 
 
 def test_oracle_size_guard():
@@ -72,25 +72,27 @@ def test_oracle_count_size_guard(monkeypatch):
         oracle_count(pattern, grouping, 0)
 
 
-def test_tuple_list_matches_counts(fig1):
+def test_oracle_total_matches_counts(fig1):
     pattern, grouping = fig1
     report = oracle_maxima(pattern, grouping)
-    assert not report.truncated
-    for units in report.tuples:
-        assert verify_identity(pattern, units, grouping)
     for unit in range(pattern.n):
-        containing = sum(unit in t for t in report.tuples)
-        assert containing == report.counts[unit]
         assert report.counts[unit] == oracle_count(pattern, grouping, unit)
+    # each identity tuple holds one unit of every group
+    groups = [grouping.member_index(g).tolist() for g in range(grouping.k)]
+    for members in groups:
+        assert report.total == sum(report.counts[u] for u in members)
+    tuples = [t for t in itertools.product(*groups) if verify_identity(pattern, t, grouping)]
+    assert report.total == len(tuples) > 0
 
 
-def test_tuple_cap_sets_overflow_flag(fig1):
-    pattern, grouping = fig1
-    full = oracle_maxima(pattern, grouping)
-    capped = oracle_maxima(pattern, grouping, tuple_limit=2)
-    assert capped.truncated
-    assert len(capped.tuples) == 2
-    assert capped.counts == full.counts
+def test_oracle_total_is_exact_past_ten_thousand():
+    # every cross-group pair is zero: all 30^3 tuples are identity tuples,
+    # where the report once kept 10 000 and flagged the rest
+    labels = [u % 3 for u in range(90)]
+    zero = np.not_equal.outer(labels, labels)
+    report = oracle_maxima(ZeroPattern(zero), Grouping(labels, 3))
+    assert report.total == 30**3
+    assert set(report.counts) == {30**2}
 
 
 @given(instances(min_n=4, max_n=10))

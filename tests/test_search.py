@@ -260,12 +260,12 @@ def dense_zero_instances(draw, k):
     return ZeroPattern(upper | upper.T), Grouping(list(range(k)) + tail, k)
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("k", range(2, 9))
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_count_matches_oracle(k, data):
-    # K - 1 partner sets: size (K=2), block sum (K=3), product (K=4), four
-    # sets (K=5) and the recursion down to them (K=6, 7)
+    # K - 1 partner sets: size (K=2), popcount (K=3), the frontier kernel
+    # (K=4, 5) and one unit fixed before it (K=6 to 8)
     pattern, grouping = data.draw(dense_zero_instances(k))
     for unit in range(pattern.n):
         pg = group_partners(pattern, grouping, unit)
@@ -336,9 +336,9 @@ def test_search_packs_the_zero_rows_once(monkeypatch):
         assert packed == [(200, 200)]
 
 
-# the four-set pair product as it runs, in one-row chunks and in two-row
-# chunks, so that chunk boundaries and the row cap are crossed
-FOUR_SET_CHUNKS = [{}, {"_FRONTIER_CELLS": 1}, {"_FLOAT32_EXACT": 3}]
+# the frontier kernel as it runs, in one-row chunks and in two-row chunks,
+# so that chunk boundaries and the row cap are crossed at every depth
+FRONTIER_CHUNKS = [{}, {"_FRONTIER_ROWS": 1}, {"_FLOAT32_EXACT": 3}]
 
 
 def counts_with(pattern, grouping, chunks):
@@ -353,38 +353,49 @@ def counts_with(pattern, grouping, chunks):
         ]
 
 
-@pytest.mark.parametrize("k", range(5, 8))
+@pytest.mark.parametrize("k", range(4, 9))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_four_set_chunks_match_oracle(k, data):
+def test_frontier_chunks_match_oracle(k, data):
     pattern, grouping = data.draw(dense_zero_instances(k))
     expected = [oracle_count(pattern, grouping, unit) for unit in range(pattern.n)]
-    for chunks in FOUR_SET_CHUNKS:
+    for chunks in FRONTIER_CHUNKS:
         assert counts_with(pattern, grouping, chunks) == expected, chunks
 
 
-@pytest.mark.parametrize("chunks", FOUR_SET_CHUNKS)
+@pytest.mark.parametrize("chunks", FRONTIER_CHUNKS)
 def test_four_sets_without_zero_pairs_count_zero(chunks):
     # unit 0 is zero to every unit, and so is every pair but those across
-    # the two smallest partner sets (groups 1 and 2): no pair product row
-    labels = [0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4]
-    zero = np.ones((len(labels), len(labels)), dtype=bool)
-    np.fill_diagonal(zero, False)
-    zero[1:3, 3:5] = zero[3:5, 1:3] = False
-    pattern, grouping = ZeroPattern(zero), Grouping(labels, 5)
-    assert oracle_count(pattern, grouping, 0) == 0
-    assert counts_with(pattern, grouping, chunks)[0] == 0
+    # two of its partner groups. At K = 5 they are the two smallest partner
+    # sets (groups 1 and 2): the frontier empties at its first extension,
+    # to pairs. At K = 7 the count fixes the unit of group 1 and hands the
+    # other five sets to the kernel, smallest first, so that groups 2 and 3
+    # make the pairs and groups 3 and 4 empty the second extension, to
+    # triples.
+    for labels, removed in (
+        ([0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4], (1, 2)),
+        ([0, 1, 2, 2, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6], (3, 4)),
+    ):
+        grouping = Grouping(labels, max(labels) + 1)
+        zero = np.ones((len(labels), len(labels)), dtype=bool)
+        np.fill_diagonal(zero, False)
+        zero[np.ix_(*(grouping.member_index(g) for g in removed))] = False
+        pattern = ZeroPattern(zero & zero.T)
+        assert oracle_count(pattern, grouping, 0) == 0
+        assert counts_with(pattern, grouping, chunks)[0] == 0
 
 
-def test_product_count_refuses_inexact_sizes(monkeypatch):
+def test_product_chunks_stay_below_the_float32_bound(monkeypatch):
     pattern, grouping = random_instance(5, 40, 4, 0.2)
     pg = group_partners(pattern, grouping, 0)
     assert all(units.size for units in pg.members_by_group.values())
-    # every set, the middle one of the product included, reaches the bound
+    # every set reaches the bound, so each chunk holds fewer rows than the
+    # first set, and every product entry stays below the bound
     smallest = min(len(units) for units in pg.members_by_group.values())
     monkeypatch.setattr(search, "_FLOAT32_EXACT", smallest)
-    with pytest.raises(ValueError, match="too large for an exact count"):
-        count_identity_submatrices(pattern, grouping, pg)
+    assert count_identity_submatrices(pattern, grouping, pg) == oracle_count(
+        pattern, grouping, 0
+    )
 
 
 # -- K = 4 counts through complements, against tables shared by a group ------
