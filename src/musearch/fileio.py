@@ -23,6 +23,7 @@ import math
 import mmap
 import os
 import stat
+import warnings
 from pathlib import Path
 from typing import Callable, ContextManager, Iterable
 
@@ -212,7 +213,11 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     none. Any other file keeps its values as float64.
     """
     t = np.loadtxt(source, dtype=_TRIPLET, comments=None, ndmin=1)
-    i, j, value = t["i"] - 1, t["j"] - 1, t["value"]
+    # 0-based in the table's own fields, so that the flat indices are the
+    # only index arrays the scatter adds
+    i, j, value = t["i"], t["j"], t["value"]
+    i -= 1
+    j -= 1
     if min(i.min(), j.min()) < 0 or not np.isfinite(value).all():
         raise ValueError("invalid triplet")
     largest = value.max()
@@ -302,38 +307,22 @@ def parse_grouping_text(text: str, source: str = "<grouping>") -> Grouping:
         raise ValueError(f"{source}: {exc}") from None
 
 
-# the longest field the fast grouping parse takes, so that its values stay
-# far below int64's limit; a longer one goes to the line loop
-_GROUPING_DIGITS = 9
-
-
 def _grouping_labels(text: str) -> tuple[np.ndarray, int] | None:
-    """0-based labels and k of a grouping whose every non-blank line is
-    ASCII ``digits,digits``, with units 1..n each once and every label
-    1..k used; None for any other text, which the line loop then parses
-    or rejects with the line that fails."""
-    if not text.isascii():
+    """0-based labels and k of a grouping that numpy reads as two columns
+    of integers, with units 1..n each once and every label 1..k used; None
+    for any other text, which the line loop then parses or rejects with
+    the line that fails."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty text only warns
+            values = np.loadtxt(
+                io.StringIO(text), dtype=np.int64, delimiter=",", comments=None, ndmin=2
+            )
+    except (ValueError, Warning):
         return None
-    data = np.frombuffer(text.encode(), dtype=np.uint8)
-    digit = (data >= ord("0")) & (data <= ord("9"))
-    comma = np.flatnonzero(data == ord(","))
-    if not comma.size or np.count_nonzero(digit | (data == ord("\n"))) + comma.size != data.size:
+    if values.shape[1] != 2:
         return None
-    # every comma sits between two digits, every line that has a digit
-    # has exactly one comma, and no field is longer than _GROUPING_DIGITS
-    # stop[i + 1] is True where byte i is not a digit, and stop is True at
-    # both ends, so the runs between its Trues are the fields
-    stop = np.concatenate(([True], ~digit, [True]))
-    if stop[comma].any() or stop[comma + 2].any():
-        return None
-    line = np.cumsum(data == ord("\n"))
-    digit_lines = line[digit]  # ascending, so its first of each line marks it
-    if not np.array_equal(line[comma], digit_lines[np.diff(digit_lines, prepend=-1) > 0]):
-        return None
-    if np.diff(np.flatnonzero(stop)).max() > _GROUPING_DIGITS + 1:
-        return None
-    values = np.fromstring(text.replace(",", " "), dtype=np.int64, sep=" ")
-    units, groups = values[0::2], values[1::2]
+    units, groups = values.T
     n = units.size
     if units.min() < 1 or units.max() != n or groups.min() < 1:
         return None

@@ -18,10 +18,12 @@ read as bool rows or zero counts.
 
 Three sets (K = 4) may instead be counted through their complements in
 the full other groups, by inclusion-exclusion against triangle tables
-that the candidates of one group share, all of the group's candidates in
-one batch. ``select_maxima`` builds those tables for a group only when
-they take fewer multiply-adds than the candidates' own products, from
-group-pair blocks that it builds once per search.
+that the candidates of one group share: the unit and edge terms for all
+of the group's candidates in one batch, the triangles among each
+candidate's complements by the frontier kernel. ``select_maxima`` builds
+those tables for a group only when they take fewer multiply-adds than
+the candidates' own products, from group-pair blocks that it builds once
+per search.
 """
 
 from __future__ import annotations
@@ -270,11 +272,11 @@ class _GroupTables:
     (see ``_shared_tables``), and the counts of the group's candidates in
     ``batch``, taken in one batch by the first count that asks for one."""
 
-    __slots__ = ("groups", "blocks", "pairs", "sums", "total", "batch", "counts")
+    __slots__ = ("groups", "pairs", "sums", "total", "batch", "counts")
 
-    def __init__(self, groups, blocks, pairs, sums, total, batch) -> None:
-        self.groups, self.blocks, self.pairs = groups, blocks, pairs
-        self.sums, self.total, self.batch = sums, total, batch
+    def __init__(self, groups, pairs, sums, total, batch) -> None:
+        self.groups, self.pairs, self.sums = groups, pairs, sums
+        self.total, self.batch = total, batch
         self.counts: dict[int, int] = {}
 
     def count(self, zero_pattern: ZeroPattern, unit: int) -> int:
@@ -326,7 +328,7 @@ def _shared_tables(
     # each sum is at most |G_A||G_B||G_C|, exact in float64
     sum_a = pairs[0].sum(axis=1, dtype=np.float64)
     sums = (sum_a, pairs[0].sum(axis=0, dtype=np.float64), pairs[1].sum(axis=0, dtype=np.float64))
-    return _GroupTables(groups, (ab, ac, bc), pairs, sums, int(sum_a.sum()), batch)
+    return _GroupTables(groups, pairs, sums, int(sum_a.sum()), batch)
 
 
 def _count_through_complements(
@@ -339,12 +341,11 @@ def _count_through_complements(
     minus those through a unit of a complement, plus those through an
     edge between two complements, minus the triangles among the
     complements themselves. The unit and edge terms are float64 products
-    over the candidates' complements as bool rows; the last term is one
-    batched float32 product over the complements padded to the longest,
-    with validity masks. A candidate with an empty partner set counts 0
-    and is left out, since its complement is a whole group.
+    over the candidates' complements as bool rows; the last term is each
+    candidate's own frontier count over its three complements. A
+    candidate with an empty partner set counts 0 and is left out, since
+    its complement is a whole group.
     """
-    ab, ac, bc = tables.blocks
     rows = zero_pattern._rows(np.asarray(units, dtype=np.intp))
     outside = [~np.take(rows, g, axis=1) for g in tables.groups]
     live = ~np.logical_or.reduce([y.all(axis=1) for y in outside])
@@ -358,39 +359,24 @@ def _count_through_complements(
         count -= (y @ through_unit).astype(np.int64)
     for through_edge, (i, j) in zip(tables.pairs, itertools.combinations(range(3), 2)):
         count += ((ys[i] @ through_edge) * ys[j]).sum(axis=1).astype(np.int64)
-    # each complement's positions in its group, ascending, then padding up
-    # to the longest complement; va, vb and vc are False on the padding
-    longest = [int(y.sum(axis=1).max()) for y in outside]
-    ia, ib, ic = (
-        np.argsort(~y, axis=1, kind="stable")[:, :size] for y, size in zip(outside, longest)
-    )
-    va, vb, vc = (np.take_along_axis(y, i, axis=1) for y, i in zip(outside, (ia, ib, ic)))
-    # a padded a or b is masked out of Z[Y_A,Y_B], a padded c out of
-    # Z[Y_A,Y_C]; an entry of the product is at most the longest Y_B
-    block_ab = _gather(ab, ia, ib) * (va[:, :, None] & vb[:, None, :])
-    block_ac = _gather(ac, ia, ic) * vc[:, None, :]
-    count -= (np.matmul(block_ab, _gather(bc, ib, ic)) * block_ac).sum(axis=(1, 2), dtype=np.int64)
+    count -= [
+        _count_cliques(zero_pattern, [g[y] for g, y in zip(tables.groups, complements)])
+        for complements in zip(*outside)
+    ]
     counts[live] = count
     return counts.tolist()
-
-
-def _gather(block: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """block[rows[s], :][:, cols[s]] for every s, stacked, by one flat take
-    (about 1.5 times as fast as the same fancy index)."""
-    return np.take(block, rows[:, :, None] * block.shape[1] + cols[:, None, :])
 
 
 def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:
     """True when a group's shared tables take fewer multiply-adds than its
     candidates' own frontier products: three products over the full groups
-    plus the batched product over the candidates' padded complements,
-    against one product over each candidate's partner sets. Candidates with
-    an empty partner set are in neither."""
+    plus each candidate's frontier product over its complements, against
+    one over its partner sets. Candidates with an empty partner set are in
+    neither."""
     g_a, g_b, g_c = group_sizes
-    batch = [(g_a - a, g_b - b, g_c - c) for a, b, c in partner_sizes if a and b and c]
-    shared = 3 * g_a * g_b * g_c
-    if batch:
-        shared += len(batch) * math.prod(max(sizes) for sizes in zip(*batch))
+    shared = 3 * g_a * g_b * g_c + sum(
+        (g_a - a) * (g_b - b) * (g_c - c) for a, b, c in partner_sizes if a and b and c
+    )
     return shared < sum(a * b * c for a, b, c in partner_sizes)
 
 

@@ -489,6 +489,39 @@ def test_shared_tables_at_empty_sets_in_a_batch(covered, missed):
         assert count_with_tables(pattern, grouping, unit, [0, 1]) == expected
 
 
+@pytest.mark.parametrize(
+    "covered, missed",
+    [((1, 2, 3), ()), ((2,), ()), ((1, 3), ()), ((), (2,)), ((1, 2), (3,)), ((), (1, 2, 3))],
+)
+def test_complement_triangles_go_through_the_frontier_kernel(monkeypatch, covered, missed):
+    # group 0, units 0 and 1, counted in one batch: each unit with no empty
+    # partner set hands the kernel, once and in batch order, the members of
+    # groups 1, 2 and 3 outside its partner sets; unit 0 with ``missed``
+    # hands it nothing
+    pattern, grouping = four_group_instance(covered, missed)
+    calls = []
+    count = search._count_cliques
+    monkeypatch.setattr(
+        search, "_count_cliques", lambda zp, sets: calls.append(sets) or count(zp, sets)
+    )
+    tables = search._shared_tables(pattern, grouping, 0, {}, [0, 1])
+    expected = []
+    for unit in (0, 1):
+        partners = group_partners(pattern, grouping, unit)
+        members = partners.members_by_group
+        if all(units.size for units in members.values()):
+            expected.append(
+                [np.setdiff1d(grouping.member_index(g), members[g]) for g in (1, 2, 3)]
+            )
+        count_identity_submatrices(pattern, grouping, partners, _tables=tables)
+    assert len(expected) == 2 - bool(missed)
+    assert len(calls) == len(expected)
+    for sets, complements in zip(calls, expected):
+        assert len(sets) == 3
+        for got, want in zip(sets, complements):
+            assert np.array_equal(got, want)
+
+
 @st.composite
 def uneven_four_group_instances(draw):
     # each unit draws its own zero density and a pair is zero below the
