@@ -9,7 +9,7 @@ units may have no entries; without one, it is the largest index seen.
 Groupings are CSV lines ``unit,group`` with 1-based units and group
 labels 1..k.
 
-Every reader closes its files and maps before it returns, on error too,
+Every reader closes its files before it returns, on error too,
 and registers no atexit handler or finalizer. So a process may end with
 ``os._exit``, as the command line does, which runs neither and skips
 the interpreter's teardown, without losing anything a read left open.
@@ -17,15 +17,13 @@ the interpreter's teardown, without losing anything a read left open.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
-import mmap
 import os
 import stat
 import warnings
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable
+from typing import BinaryIO, Callable, ContextManager, Iterable
 
 import numpy as np
 
@@ -49,11 +47,11 @@ def _numbered_lines(lines: Iterable[str]):
 
 
 def parse_matrix_text(text: str, source: str = "<matrix>") -> SymmetricMatrix:
-    # the byte reader takes only ASCII; "?" stands in for anything else
-    lines = text.splitlines()
+    # the byte reader takes only ASCII; "?" stands in for anything else.
+    # Lines end at \n, \r or \r\n, where a file's lines end.
     return _parse_matrix(
-        _load_fixed_width(text.encode("ascii", "replace")),
-        lambda: contextlib.nullcontext(lines),
+        _load_fixed_width(io.BytesIO(text.encode("ascii", "replace"))),
+        lambda: io.StringIO(text, newline=None),
         source,
     )
 
@@ -119,13 +117,12 @@ def _load_lines(
 # (Clinger's fast path): it is the value loadtxt parses. SymmetricMatrix
 # keeps m and 10**k and divides only where a value is asked for.
 _EXACT_DIGITS = 15
-# bytes checked and converted at a time: whole rows, about this many,
-# which keeps the temporaries in cache
+# bytes read, checked and converted at a time: whole rows, about this
+# many, which keeps the one buffer in cache
 _BLOCK_BYTES = 1 << 19
-_MANTISSA_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
-def _load_fixed_width(data: bytes | mmap.mmap) -> tuple[np.ndarray, int] | None:
+def _load_fixed_width(stream: BinaryIO) -> tuple[np.ndarray, int] | None:
     """Dense CSV kept as its decimal digits, or None when it has another layout.
 
     Taken only when every field has the width w of the first, every byte
@@ -133,25 +130,31 @@ def _load_fixed_width(data: bytes | mmap.mmap) -> tuple[np.ndarray, int] | None:
     all fields, a field has at most 15 digits, and every row holds the same
     two or more fields, separated by ',' and ended by '\\n' (optional at the
     end of the data); a row of one field has no comma and reads as triplets.
-    That is what ``write_matrix_csv`` writes for a 0/1 matrix. No array
-    returned is a view of ``data``, so a map of it can be closed after.
+    That is what ``write_matrix_csv`` writes for a 0/1 matrix.
+
+    ``stream`` is read from its start in blocks of whole rows, one block
+    in memory at a time. When its first row ends past its end, or it yields
+    fewer bytes than its end reported, the data changed size while it was
+    read, and the result is None.
 
     Returns the mantissas m, in the narrowest unsigned dtype that holds
     them, and the scale 10**k, k the digits after the '.': each value is
     m / 10**k.
     """
-    end = data.find(b"\n")
-    row = end + 1 if end >= 0 else len(data) + 1
-    width = data.find(b",", 0, row)
+    size = stream.seek(0, io.SEEK_END)
+    stream.seek(0)
+    first = stream.readline()
+    row = len(first) + (not first.endswith(b"\n"))
+    width = first.find(b",")
     if width < 1:
         return None
     stride = width + 1
     cols, rest = divmod(row, stride)
-    rows = -(-len(data) // row)
-    missing = rows * row - len(data)  # 1 when the data does not end in '\n'
-    dot = data.find(b".", 0, width)
+    rows = -(-size // row)
+    missing = rows * row - size  # 1 when the data does not end in '\n'
+    dot = first.find(b".", 0, width)
     digits = width - (dot >= 0)
-    if rest or cols < 2 or missing > 1 or not 1 <= digits <= _EXACT_DIGITS:
+    if rest or cols < 2 or missing > 1 or size < len(first) or not 1 <= digits <= _EXACT_DIGITS:
         return None
     # One byte template for a row: byte b at position i is valid iff
     # b - low[i] <= span[i] in uint8, where bytes below low wrap past 255.
@@ -165,27 +168,24 @@ def _load_fixed_width(data: bytes | mmap.mmap) -> tuple[np.ndarray, int] | None:
         span[:, dot] = 0
     low, span = low.reshape(row), span.reshape(row)
     digit_columns = [c for c in range(width) if c != dot]
-    # the narrowest unsigned dtype that holds every mantissa below 10**digits
-    dtype = next(t for t in _MANTISSA_DTYPES if 10**digits <= np.iinfo(t).max)
-    out = np.empty((rows, cols), dtype=dtype)
+    out = np.empty((rows, cols), dtype=np.min_scalar_type(10**digits - 1))
     step = max(1, _BLOCK_BYTES // row)
-    t = np.empty((min(step, rows), row), dtype=np.uint8)
-    ok = np.empty(t.shape, dtype=np.bool_)
-    whole = rows - missing
-    grid = np.frombuffer(data, dtype=np.uint8, count=whole * row).reshape(whole, row)
-    blocks = [(start, grid[start : start + step]) for start in range(0, whole, step)]
-    if missing:
-        # the last row and its missing '\n', copied alone
-        last = np.frombuffer(data[whole * row :] + b"\n", dtype=np.uint8)
-        blocks.append((whole, last.reshape(1, row)))
-    for start, block in blocks:
-        size = len(block)
-        np.subtract(block, low, out=t[:size])
-        if not np.less_equal(t[:size], span, out=ok[:size]).all():
+    buffer = np.empty((min(step, rows), row), dtype=np.uint8)
+    stream.seek(0)
+    for start in range(0, rows, step):
+        block = buffer[: min(step, rows - start)]
+        flat = block.reshape(-1)
+        expected = flat.size - missing * (start + step >= rows)
+        if stream.readinto(flat[:expected]) != expected:
             return None
-        # each digit byte of t is now its value
-        digit = t[:size].reshape(size, cols, stride)
-        value = out[start : start + size]
+        flat[expected:] = ord("\n")
+        np.subtract(block, low, out=block)
+        # one maximum per byte position of a row checks the whole block
+        if (block.max(axis=0) > span).any():
+            return None
+        # each digit byte of the block is now its value
+        digit = block.reshape(len(block), cols, stride)
+        value = out[start : start + len(block)]
         value[:] = digit[:, :, digit_columns[0]]
         for c in digit_columns[1:]:
             value *= 10
@@ -207,10 +207,10 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     """The n-by-n matrix of a triplet file.
 
     When every value is an integer in 0..2**53 - 1, as in a 0/1 matrix,
-    the matrix is kept in the narrowest unsigned dtype of
-    ``_MANTISSA_DTYPES`` that holds them: for a 0/1 matrix an eighth of a
-    float64 one. Such values are exact in float64, so the cast changes
-    none. Any other file keeps its values as float64.
+    the matrix is kept in the narrowest unsigned dtype that holds them:
+    for a 0/1 matrix an eighth of a float64 one. Such values are exact in
+    float64, so the cast changes none. Any other file keeps its values as
+    float64.
     """
     t = np.loadtxt(source, dtype=_TRIPLET, comments=None, ndmin=1)
     # 0-based in the table's own fields, so that the flat indices are the
@@ -222,7 +222,7 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
         raise ValueError("invalid triplet")
     largest = value.max()
     if 0 <= value.min() and largest < _EXACT_INTEGERS and (np.trunc(value) == value).all():
-        dtype = next(d for d in _MANTISSA_DTYPES if largest <= np.iinfo(d).max)
+        dtype = np.min_scalar_type(int(largest))
         value = value.astype(dtype)
     else:
         dtype = np.float64
@@ -387,39 +387,24 @@ def _first_gap(values: Iterable[int]) -> int:
 def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
     """Read a dense CSV or triplet matrix; ``n`` sizes a triplet matrix.
 
-    A regular file is mapped, not copied, to check it for the fixed-width
-    layout; if it has another, numpy reads it again from the path. Any
-    other source, such as a pipe, is read once into memory.
+    A regular file is checked for the fixed-width layout a block of rows
+    at a time, never held whole; if it has another layout, numpy reads it
+    again from the path. Any other source, such as a pipe, is read once
+    into memory.
     """
     path = Path(path)
     with path.open("rb") as file:
-        info = os.fstat(file.fileno())
-        mapped = stat.S_ISREG(info.st_mode) and info.st_size > 0
-        if mapped:
-            with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as data:
-                try:
-                    fixed = _load_fixed_width(data)
-                except BaseException as exc:
-                    # the parse's frames in the traceback hold numpy views
-                    # of the map, which would make closing it raise instead
-                    tb = exc.__traceback__.tb_next
-                    while tb is not None:
-                        tb.tb_frame.clear()
-                        tb = tb.tb_next
-                    raise
-        else:
-            data = file.read()
-    try:
-        if mapped:
-            return _parse_matrix(fixed, path.open, str(path), n, path)
+        regular = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
         # A pipe cannot be read again, so the format sniff, the parse and the
-        # rescan that names a bad line all work on these bytes.
-        return _parse_matrix(
-            _load_fixed_width(data), lambda: io.TextIOWrapper(io.BytesIO(data)), str(path), n
-        )
+        # rescan that names a bad line all work on its bytes.
+        data = None if regular else file.read()
+        fixed = _load_fixed_width(file if regular else io.BytesIO(data))
+    lines = path.open if regular else lambda: io.TextIOWrapper(io.BytesIO(data))
+    try:
+        return _parse_matrix(fixed, lines, str(path), n, path if regular else None)
     except UnicodeDecodeError:
         # the text readers give only an offset into the chunk they decoded
-        _decode(path.read_bytes() if mapped else data, str(path))
+        _decode(path.read_bytes() if regular else data, str(path))
         raise
 
 

@@ -437,7 +437,7 @@ def test_run_rejects_non_finite(tmp_path, capsys, name, text, entry):
 def test_run_rejects_asymmetric_fixed_width(tmp_path, capsys, text, dtype, values):
     # the check runs on the digits, at each mantissa width, and the message
     # names both values as the float parser read them
-    assert _load_fixed_width(text.encode())[0].dtype == dtype
+    assert _load_fixed_width(io.BytesIO(text.encode()))[0].dtype == dtype
     matrix = tmp_path / "m.csv"
     matrix.write_text(text)
     groups = tmp_path / "g.csv"

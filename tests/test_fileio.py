@@ -1,5 +1,6 @@
+import contextlib
+import io
 import math
-import mmap
 import os
 import re
 import sys
@@ -508,11 +509,20 @@ def _loadtxt(text):
     return np.loadtxt(text.splitlines(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
 
 
-@given(fixed_width_csv())
+def _blocks(text, rows):
+    """``_BLOCK_BYTES`` patched to ``rows`` rows of ``text``, whose first
+    line gives the row length, so that even a few lines span blocks."""
+    row = len(text.encode().split(b"\n", 1)[0]) + 1
+    return mock.patch.object(fileio, "_BLOCK_BYTES", rows * row)
+
+
+@given(fixed_width_csv(), st.sampled_from([1, 2]))
 @settings(max_examples=300)
-def test_fixed_width_matches_loadtxt(case):
+def test_fixed_width_matches_loadtxt(case, rows):
     text, digits, cols = case
-    got = _load_fixed_width(text.encode())
+    # the last row, with or without its '\n', is read in a later block
+    with _blocks(text, rows):
+        got = _load_fixed_width(io.BytesIO(text.encode()))
     # one column has no comma, which makes the file triplets; 16 digits may
     # not be exact in a float64 mantissa
     if cols == 1 or not 1 <= digits <= 15:
@@ -550,7 +560,7 @@ def test_fixed_width_zero_pattern_matches_float_path(text, drawn):
     # the matrix kept as digits binarizes as the float64 matrix loadtxt
     # parses, at every epsilon: zero, each value, the floats just either side
     # of each value, the extremes and one drawn at random
-    assert _load_fixed_width(text.encode()) is not None
+    assert _load_fixed_width(io.BytesIO(text.encode())) is not None
     m = parse_matrix_text(text)
     want = _loadtxt(text)
     got = m.to_array()
@@ -588,12 +598,15 @@ _NEAR_MISSES = {
     fixed_width_csv(st.integers(1, 15), min_lines=2, min_cols=2),
     st.sampled_from(sorted(_NEAR_MISSES)),
     st.data(),
+    st.sampled_from([1, 2]),
 )
 @settings(max_examples=300)
-def test_fixed_width_refuses_near_misses(case, miss, data):
+def test_fixed_width_refuses_near_misses(case, miss, data, rows):
     text, _, _ = case
-    at = data.draw(st.integers(0, len(text)))
-    assert _load_fixed_width(_NEAR_MISSES[miss](text, at).encode()) is None
+    text = _NEAR_MISSES[miss](text, data.draw(st.integers(0, len(text))))
+    # most misses land in a block after the first
+    with _blocks(text, rows):
+        assert _load_fixed_width(io.BytesIO(text.encode())) is None
 
 
 @pytest.mark.parametrize(
@@ -614,7 +627,7 @@ def test_fixed_width_refuses_near_misses(case, miss, data):
     ],
 )
 def test_parse_dense_near_miss_takes_loadtxt_path(text, expected):
-    assert _load_fixed_width(text.encode("utf-8", "surrogatepass")) is None
+    assert _load_fixed_width(io.BytesIO(text.encode("utf-8", "surrogatepass"))) is None
     if isinstance(expected, str):
         with pytest.raises(ValueError, match=expected):
             parse_matrix_text(text)
@@ -623,14 +636,14 @@ def test_parse_dense_near_miss_takes_loadtxt_path(text, expected):
         assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
 
 
-# Reading a regular file maps it and checks the mapped bytes; any other
+# Reading a regular file checks its bytes a block at a time; any other
 # layout is read again from the path. These run the checks above through
 # real files.
 
 
 @pytest.fixture(scope="module")
 def directory(tmp_path_factory):
-    return tmp_path_factory.mktemp("mapped")
+    return tmp_path_factory.mktemp("files")
 
 
 def _outcome(read):
@@ -643,15 +656,16 @@ def _outcome(read):
 
 def _read_file(directory, text):
     """``read_matrix`` on a regular file holding ``text``: what
-    ``_load_fixed_width`` gave on the bytes it was handed, the outcome, and
-    the text parser's outcome under the same name."""
+    ``_load_fixed_width`` gave on the stream it was handed, the outcome,
+    and the text parser's outcome under the same name."""
     path = directory / "m.csv"
     path.write_text(text, newline="")
     seen = []
 
-    def spy(data):
-        assert isinstance(data, mmap.mmap) == bool(text)
-        seen.append(_load_fixed_width(data))
+    def spy(stream):
+        # the open file itself, not a copy of its bytes
+        assert os.path.samestat(os.fstat(stream.fileno()), path.stat())
+        seen.append(_load_fixed_width(stream))
         return seen[-1]
 
     with mock.patch.object(fileio, "_load_fixed_width", spy):
@@ -664,7 +678,7 @@ def _read_file(directory, text):
 def test_fixed_width_file_matches_text_parser(directory, case):
     text, _, _ = case
     seen, got, want = _read_file(directory, text)
-    fixed = _load_fixed_width(text.encode())
+    fixed = _load_fixed_width(io.BytesIO(text.encode()))
     assert len(seen) == 1
     assert (seen[0] is None) == (fixed is None)
     if fixed is not None:
@@ -709,9 +723,38 @@ _ROWS = "1.0,0.5,0.0\n0.5,1.0,0.0\n0.0,0.0,1.0\n"
     ],
 )
 def test_file_last_row_and_byte(tmp_path, text, fixed):
-    seen, got, want = _read_file(tmp_path, text)
-    assert [s is not None for s in seen] == [fixed]
-    assert got == want
+    # the default block, then one and two rows a block
+    for blocks in (contextlib.nullcontext(), _blocks(text, 1), _blocks(text, 2)):
+        with blocks:
+            seen, got, want = _read_file(tmp_path, text)
+        assert [s is not None for s in seen] == [fixed]
+        assert got == want
+
+
+class _Shrunk(io.BytesIO):
+    """Bytes whose end is reported ``lost`` bytes past their real end, as
+    a file truncated while it is read reports the size it had."""
+
+    def __init__(self, data, lost):
+        super().__init__(data)
+        self.lost = lost
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        at = super().seek(offset, whence)
+        return at + self.lost if whence == io.SEEK_END else at
+
+
+def test_stream_that_changed_size_is_refused():
+    # the short read comes in the first block or a later one, in the last
+    # row, at a row's end or inside one; an end reported as 0 lies before
+    # the first row's end
+    data = (_ROWS * 3).encode()
+    for blocks in (contextlib.nullcontext(), _blocks(_ROWS, 1), _blocks(_ROWS, 2)):
+        with blocks:
+            assert _load_fixed_width(_Shrunk(data, 0)) is not None
+            for lost in (1, 5, 12, 13, len(data) - 12):
+                assert _load_fixed_width(_Shrunk(data[:-lost], lost)) is None
+            assert _load_fixed_width(_Shrunk(data, -len(data))) is None
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"])
@@ -738,6 +781,10 @@ def test_read_empty_file(tmp_path, text):
         "1.0,1\n0,1.0\n",
         "1 1 1\n\n2 x 1\n",
         "1 2 1\r\n2 2 1\r\n",
+        # line ends of str.splitlines that end no line of a file
+        "1,0\x0c0,1\n",
+        "1 1 1\x0b2 2 1\n",
+        "1,0\u20280,1\n",
     ],
 )
 def test_file_fallback_matches_text_parser(tmp_path, text):
@@ -772,13 +819,13 @@ def test_repeated_reads_leave_no_descriptor_or_map(tmp_path):
 
 @pytest.mark.skipif(not (_PROC / "maps").exists(), reason="needs /proc/self")
 def test_error_inside_mapped_parse_propagates_and_unmaps(tmp_path, monkeypatch):
-    # numpy views of the map are alive when the check fails; the error must
-    # come out as itself, not as the BufferError of closing under a view
+    # the open file is closed as the check fails; the error must come out
+    # as itself, with nothing raised on the way out
     class FailingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def less_equal(self, *args, **kwargs):
+        def subtract(self, *args, **kwargs):
             raise MemoryError("injected")
 
     path = tmp_path / "m.csv"
