@@ -53,8 +53,14 @@ if TYPE_CHECKING:
 __all__ = ["main", "run_main", "parse_scenario_config"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse drops an OSError of an unbuffered write; run_main reports it
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="musearch",
         description="Search a sparse symmetric matrix for one pivotal unit per group.",
     )
@@ -202,19 +208,17 @@ def cmd_oracle(args) -> int:
     # land in the oracle argmax set
     full_budget = max(grouping.sizes)
     result = select_maxima(pattern, grouping, full_budget)
-    disagreements = []
+    disagreements = []  # the search's outcomes outside the oracle's argmax sets
     for o in result.outcomes:
         argmax = report.argmax_by_group[o.group]
-        if o.found and o.selected not in argmax:
-            disagreements.append(o.group)
-        if not o.found and argmax:
-            disagreements.append(o.group)
+        if o.selected not in argmax and (o.found or argmax):
+            disagreements.append(o)
     if args.format == "json":
         print(json.dumps(_oracle_payload(grouping, report, disagreements), indent=2))
     elif args.format == "csv":
         print(_oracle_csv(grouping, report), end="")
     else:
-        print(_oracle_text(grouping, report, disagreements), end="")
+        print(_oracle_text(report, disagreements), end="")
     return 2 if disagreements else 0
 
 
@@ -234,20 +238,23 @@ def _oracle_payload(grouping, report, disagreements) -> dict:
     }
 
 
-def _oracle_text(grouping, report, disagreements) -> str:
+def _oracle_text(report, disagreements) -> str:
     out = StringIO()
     for u, c in enumerate(report.counts):
         out.write(f"unit {u + 1}: count={c}\n")
-    for g in range(grouping.k):
-        argmax = ", ".join(str(u + 1) for u in report.argmax_by_group[g])
-        out.write(
-            f"group {g + 1}: max={report.max_by_group[g]} argmax={{{argmax}}}\n"
-        )
+    oracle = []  # each group's max and argmax as shown
+    for g, argmax in enumerate(report.argmax_by_group):
+        shown = ", ".join(str(u + 1) for u in argmax)
+        oracle.append(f"max={report.max_by_group[g]} argmax={{{shown}}}")
+        out.write(f"group {g + 1}: {oracle[g]}\n")
     out.write(f"identity tuples: {report.total}\n")
-    if disagreements:
-        shown = ", ".join(str(g + 1) for g in disagreements)
-        out.write(f"WARNING: search disagrees with oracle in groups {shown}\n")
-    else:
+    for o in disagreements:
+        pick = f"unit {o.selected + 1}" if o.found else "no unit"
+        out.write(
+            f"WARNING: search disagrees with oracle in group {o.group + 1}: search "
+            f"picks {pick} count={o.count}, oracle {oracle[o.group]}\n"
+        )
+    if not disagreements:
         out.write("search agrees with oracle\n")
     return out.getvalue()
 

@@ -27,7 +27,7 @@ from typing import BinaryIO, Callable, ContextManager, Iterable
 
 import numpy as np
 
-from .matrix import Grouping, SymmetricMatrix
+from .matrix import _FLOAT64_EXACT, Grouping, SymmetricMatrix
 
 __all__ = [
     "read_matrix",
@@ -112,7 +112,7 @@ def _load_lines(
     raise ValueError(f"{source}: unreadable matrix: {reason}")
 
 
-# A mantissa m of at most 15 digits is below 10**15 < 2**53, so m and 10**k
+# A mantissa m of at most 15 digits is below 10**15 < 2^53, so m and 10**k
 # are exact in float64 and the one division m / 10**k rounds correctly
 # (Clinger's fast path): it is the value loadtxt parses. SymmetricMatrix
 # keeps m and 10**k and divides only where a value is asked for.
@@ -194,9 +194,6 @@ def _load_fixed_width(stream: BinaryIO) -> tuple[np.ndarray, int] | None:
 
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
-# integer values below this are exact in float64, so keeping them as
-# integers changes no value
-_EXACT_INTEGERS = 2**53
 
 
 class _TooLarge(Exception):
@@ -206,7 +203,7 @@ class _TooLarge(Exception):
 def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     """The n-by-n matrix of a triplet file.
 
-    When every value is an integer in 0..2**53 - 1, as in a 0/1 matrix,
+    When every value is an integer in 0..2^53 - 1, as in a 0/1 matrix,
     the matrix is kept in the narrowest unsigned dtype that holds them:
     for a 0/1 matrix an eighth of a float64 one. Such values are exact in
     float64, so the cast changes none. Any other file keeps its values as
@@ -221,7 +218,7 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     if min(i.min(), j.min()) < 0 or not np.isfinite(value).all():
         raise ValueError("invalid triplet")
     largest = value.max()
-    if 0 <= value.min() and largest < _EXACT_INTEGERS and (np.trunc(value) == value).all():
+    if 0 <= value.min() and largest < _FLOAT64_EXACT and (np.trunc(value) == value).all():
         dtype = np.min_scalar_type(int(largest))
         value = value.astype(dtype)
     else:

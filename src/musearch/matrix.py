@@ -14,6 +14,14 @@ import numpy as np
 
 __all__ = ["SymmetricMatrix", "ZeroPattern", "Grouping", "build_zero_pattern"]
 
+# float32 holds every integer below _FLOAT32_EXACT, float64 every one below
+# _FLOAT64_EXACT. A ZeroPattern covers fewer units than _FLOAT32_EXACT, so
+# every float32 product of the search sums fewer rows and is exact; the
+# search builds K = 4 tables, whose float64 sums count triples of units,
+# only below _FLOAT64_EXACT triples.
+_FLOAT32_EXACT = 2**24
+_FLOAT64_EXACT = 2**53
+
 
 class _Record:
     """Base of the small immutable value types: fields in ``__slots__``,
@@ -137,6 +145,8 @@ class ZeroPattern:
     The one stored copy is private and read-only, each row packed into
     64-bit words, an eighth of an n-by-n bool matrix (``to_array``). Only
     ``_rows`` and ``_zero_counts``, which the search uses, read the bits.
+    A pattern covers fewer than 2^24 units (``_FLOAT32_EXACT``), which
+    keeps the search's float32 counts exact.
     """
 
     __slots__ = ("n", "_bits")
@@ -151,6 +161,10 @@ class ZeroPattern:
             raise ValueError(f"zero pattern must be square, got shape {z.shape}")
         if z.shape[0] < 1:
             raise ValueError("zero pattern must cover at least one unit")
+        if z.shape[0] >= _FLOAT32_EXACT:
+            raise ValueError(
+                f"zero pattern must cover fewer than {_FLOAT32_EXACT} units, got {z.shape[0]}"
+            )
         if z.diagonal().any():
             i = int(np.flatnonzero(z.diagonal())[0])
             raise ValueError(f"unit {i} may not be its own zero partner")
@@ -301,11 +315,11 @@ def _largest_mantissa_within(epsilon: float, scale: int, dtype: np.dtype) -> int
     """The largest m of ``dtype`` with m / scale <= epsilon in float64.
 
     m / scale rounds monotonically in m, so the mantissas within epsilon
-    are 0..t. Mantissas stay below 2**53 (a fixed-width field has at most
+    are 0..t. Mantissas stay below 2^53 (a fixed-width field has at most
     15 digits), and while epsilon * scale does too it lands a step or two
     from t; a larger epsilon takes every mantissa.
     """
-    top = min(int(np.iinfo(dtype).max), 2**53)
+    top = min(int(np.iinfo(dtype).max), _FLOAT64_EXACT)
     if top / scale <= epsilon:
         return top
     t = math.floor(epsilon * scale)

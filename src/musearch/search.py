@@ -11,29 +11,30 @@ the largest count, ties going to the lowest unit index.
 
 A count is the number of cliques with one vertex per partner set in the
 zero graph, counted exactly. Two sets take one popcount, three or more
-one frontier kernel: a masked float32 product, summed in int64, over
-chunks of fewer than 2^24 rows, which keeps every entry exact. More than
-four sets first fix each unit of the smallest once. The zero pattern is
-read as bool rows or zero counts.
+one frontier kernel: a masked float32 product, summed in int64, over at
+most max(N, ``_FRONTIER_ROWS``) rows, and a zero pattern has N < 2^24
+units, which keeps every entry exact. More than four sets first fix each
+unit of the smallest once. The zero pattern is read as bool rows or zero
+counts.
 
 Three sets (K = 4) may instead be counted through their complements in
 the full other groups, by inclusion-exclusion against triangle tables
 that the candidates of one group share: the unit and edge terms for all
 of the group's candidates in one batch, the triangles among each
 candidate's complements by the frontier kernel. ``select_maxima`` builds
-those tables for a group only when they take fewer multiply-adds than
-the candidates' own products, from group-pair blocks that it builds once
-per search.
+those tables for a group only when they are exact, below 2^53 triples
+across the three other groups, and take fewer multiply-adds than the
+candidates' own products, from group-pair blocks that it builds once per
+search; other groups take the direct form, exact at any size.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
-from .matrix import Grouping, ZeroPattern, _Record, check_consistent
+from .matrix import _FLOAT64_EXACT, Grouping, ZeroPattern, _Record, check_consistent
 
 __all__ = [
     "Candidate",
@@ -165,16 +166,6 @@ def group_partners(
     return PartnerGroups(candidate=candidate, members_by_group=members)
 
 
-# float32 holds every integer below this exactly, and an entry of a
-# product of 0/1 matrices is at most their inner dimension: the rows of a
-# frontier chunk, fewer by construction, or a full group for the shared
-# K = 4 tables, which refuse a larger one. The int64 sums are at most the
-# number of cliques, far below 2^63 for any matrix that fits in memory.
-_FLOAT32_EXACT = 2**24
-# float64 holds every integer below this exactly. The complement terms of
-# a K = 4 group are float64 sums of table entries, each partial sum at
-# most |G_A||G_B||G_C|, the number of triples across the full groups.
-_FLOAT64_EXACT = 2**53
 # Rows per chunk of an extended frontier. A fixed count of mask cells was
 # either too few rows to keep BLAS busy on wide sets or, on narrow ones,
 # enough memory per chunk that the allocator returned it and faulted it in
@@ -246,17 +237,13 @@ def _extend(blocks: list[list[np.ndarray]], masks: list[np.ndarray]) -> int:
     ahead: ``masks[i]`` holds the rows' zeros in the i-th set ahead, and
     ``blocks[i][j]`` is Z between the i-th and the (i + 1 + j)-th."""
     if len(masks) == 2:
-        count = 0
-        # an entry counts the rows zero to both c and d, so a product over
-        # fewer than _FLOAT32_EXACT rows is exact
-        for start in range(0, len(masks[0]), _FLOAT32_EXACT - 1):
-            # the cast is about 1.5 times as fast from uint8 as from bool
-            chunk = slice(start, start + _FLOAT32_EXACT - 1)
-            mask_c, mask_d = (m[chunk].view(np.uint8).astype(np.float32) for m in masks)
-            product = mask_c.T @ mask_d
-            product *= blocks[0][0]
-            count += int(product.sum(dtype=np.int64))
-        return count
+        # an entry counts the rows zero to both c and d: at most max(N,
+        # _FRONTIER_ROWS) < matrix._FLOAT32_EXACT, so exact. The cast is
+        # about 1.5 times as fast from uint8 as from bool
+        mask_c, mask_d = (m.view(np.uint8).astype(np.float32) for m in masks)
+        product = mask_c.T @ mask_d
+        product *= blocks[0][0]
+        return int(product.sum(dtype=np.int64))
     rows, units = np.nonzero(masks[0])
     count = 0
     for start in range(0, rows.size, _FRONTIER_ROWS):
@@ -311,21 +298,13 @@ def _shared_tables(
     """
     labels = [g for g in range(grouping.k) if g != group]
     groups = [grouping.member_index(g) for g in labels]
-    # an entry of each product counts the units of the third group zero to
-    # both ends of a pair, so it is at most that group's size
-    sizes = [g.size for g in groups]
-    if max(sizes) >= _FLOAT32_EXACT or math.prod(sizes) >= _FLOAT64_EXACT:
-        raise ValueError(
-            f"groups of sizes {', '.join(map(str, sizes))} are too large for an "
-            "exact count"
-        )
     keys = list(itertools.combinations(labels, 2))
     for key in keys:
         if key not in blocks:
             blocks[key] = _group_block(zero_pattern, grouping, *key)
     ab, ac, bc = (blocks[key] for key in keys)
     pairs = ((ac @ bc.T) * ab, (ab @ bc) * ac, (ab.T @ ac) * bc)
-    # each sum is at most |G_A||G_B||G_C|, exact in float64
+    # each sum is at most |G_A||G_B||G_C|, exact in float64 (_tables_pay)
     sum_a = pairs[0].sum(axis=1, dtype=np.float64)
     sums = (sum_a, pairs[0].sum(axis=0, dtype=np.float64), pairs[1].sum(axis=0, dtype=np.float64))
     return _GroupTables(groups, pairs, sums, int(sum_a.sum()), batch)
@@ -368,12 +347,15 @@ def _count_through_complements(
 
 
 def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:
-    """True when a group's shared tables take fewer multiply-adds than its
-    candidates' own frontier products: three products over the full groups
-    plus each candidate's frontier product over its complements, against
-    one over its partner sets. Candidates with an empty partner set are in
-    neither."""
+    """True when a group's shared tables are exact, their float64 sums
+    at most |G_A||G_B||G_C| < ``_FLOAT64_EXACT``, and take fewer
+    multiply-adds than its candidates' own frontier products: three
+    products over the full groups plus each candidate's frontier product
+    over its complements, against one over its partner sets. Candidates
+    with an empty partner set are in neither."""
     g_a, g_b, g_c = group_sizes
+    if g_a * g_b * g_c >= _FLOAT64_EXACT:
+        return False
     shared = 3 * g_a * g_b * g_c + sum(
         (g_a - a) * (g_b - b) * (g_c - c) for a, b, c in partner_sizes if a and b and c
     )
@@ -389,7 +371,7 @@ def select_maxima(
     reports not-found rather than raising; the counts of every examined
     candidate are kept in the result. At K = 4 a group's candidates share
     triangle tables over the other three groups whenever ``_tables_pay``,
-    and are then counted in one batch.
+    and are then counted in one batch; otherwise each is counted directly.
     """
     candidates = select_candidates(zero_pattern, grouping, m_bar)
     blocks: dict[tuple[int, int], np.ndarray] = {}  # shared by the groups' tables

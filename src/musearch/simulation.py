@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_GROUPING_DRAWS = 1000
 
 
 def mix64(*values: int) -> int:
@@ -167,11 +168,11 @@ class ScenarioReport:
             lines.append("")
         return "\n".join(lines)
 
-    def write(self, out_dir: str | Path, stem: str = "grid") -> tuple[Path, Path]:
+    def write(self, out_dir: str | Path) -> tuple[Path, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{stem}.csv"
-        md_path = out / f"{stem}.md"
+        csv_path = out / "grid.csv"
+        md_path = out / "grid.md"
         csv_path.write_text(self.to_csv_text())
         md_path.write_text(self.to_markdown())
         return csv_path, md_path
@@ -196,22 +197,20 @@ def generate_bernoulli_matrix(n: int, p: float, seed: int) -> SymmetricMatrix:
     return SymmetricMatrix(a)
 
 
-def random_grouping(
-    n: int, k: int, seed: int, max_retries: int = 1000
-) -> Grouping:
+def random_grouping(n: int, k: int, seed: int) -> Grouping:
     """Uniform group labels over 1..k, redrawn wholesale while any group
-    is empty (at most ``max_retries`` times)."""
+    is empty (at most ``_GROUPING_DRAWS`` times)."""
     if k > n:
         raise ValueError(f"cannot split {n} units into {k} nonempty groups")
     if k < 2:
         raise ValueError(f"need at least 2 groups, got k={k}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(max_retries):
+    for _ in range(_GROUPING_DRAWS):
         labels = rng.integers(0, k, size=n)
         if len(np.unique(labels)) == k:
             return Grouping(labels, k)
     raise ValueError(
-        f"no nonempty grouping of {n} units into {k} groups after {max_retries} draws"
+        f"no nonempty grouping of {n} units into {k} groups after {_GROUPING_DRAWS} draws"
     )
 
 

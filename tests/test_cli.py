@@ -14,8 +14,9 @@ import pytest
 from musearch import cli, search
 from musearch.cli import main, parse_scenario_config
 from musearch.fileio import _load_fixed_width, write_grouping_csv, write_matrix_csv
-from musearch.fixtures import extract
+from musearch.fixtures import extract, load
 from musearch.matrix import ZeroPattern
+from musearch.search import GroupOutcome, PivotResult
 from musearch.simulation import generate_bernoulli_matrix, random_grouping
 
 from conftest import fresh_python, run_fresh_python, strip_timing
@@ -168,6 +169,27 @@ def test_oracle_csv(fixture_files, capsys):
     assert int(by_unit[3]["group"]) == 1
 
 
+def test_oracle_names_each_disagreeing_group(fixture_files, capsys, monkeypatch):
+    # the search made to pick unit 3 of group 1, outside the oracle's argmax
+    # {6, 7}, and to find nothing in group 2, whose argmax is {8}
+    outcomes = (GroupOutcome(0, 2, 1, ((2, 1),)), GroupOutcome(1, None, 0, ()))
+    result = PivotResult(outcomes, None, False, None)
+    monkeypatch.setattr(cli, "select_maxima", lambda *args: result)
+    matrix, groups = fixture_files["tennis"]
+    argv = ["oracle", "--matrix", matrix, "--groups", groups]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[-2:] == [
+        "WARNING: search disagrees with oracle in group 1: search picks unit 3 count=1, "
+        "oracle max=3 argmax={6, 7}",
+        "WARNING: search disagrees with oracle in group 2: search picks no unit count=0, "
+        "oracle max=5 argmax={8}",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["search_agrees"] is False
+
+
 def test_oracle_size_guard(tmp_path, capsys):
     n, k = 404, 4
     rows = "\n".join(",".join("1" for _ in range(n)) for _ in range(n))
@@ -272,6 +294,21 @@ def test_config_parser_refuses_a_key_set_twice(text, message):
         parse_scenario_config(text, source="grid.cfg")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 10\nk 2\n", "2: expected 'key = value', got 'k 2'"),
+        ("n = 10\nseed = 1, 2\n", "2: invalid value for seed: expected a single value"),
+        ("n = 10\nk = 2\nm_bar = x\n", "3: invalid value for m_bar: invalid literal"),
+        ("n = 10\nk = 2\nm_bar = 1\np = half\n", "4: invalid value for p: could not convert"),
+    ],
+    ids=["no-equals", "two-seeds", "bad-int", "bad-float"],
+)
+def test_config_parser_names_the_bad_line(text, message):
+    with pytest.raises(ValueError, match=re.escape(f"grid.cfg:{message}")):
+        parse_scenario_config(text, source="grid.cfg")
+
+
 def test_fixtures_list(capsys):
     code, out, _ = run_cli(capsys, "fixtures")
     assert code == 0
@@ -294,6 +331,8 @@ def test_fixtures_unknown_name(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown fixture" in err
+    with pytest.raises(ValueError, match="unknown fixture 'nope'; available: fig1, tennis"):
+        load("nope")
 
 
 def test_run_triplet_input(tmp_path, capsys):
@@ -681,9 +720,5 @@ def test_run_into_a_closed_pipe_fails_once(fixture_files, large_report_files, un
         done = run_script(*argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
     finally:
         os.close(write_end)
-    if size == "help" and unbuffered:
-        # argparse itself drops the error of its unbuffered write and exits 0
-        assert (done.returncode, done.stderr) == (0, "")
-    else:
-        assert done.returncode == 1
-        assert done.stderr == "error: [Errno 32] Broken pipe\n"
+    assert done.returncode == 1
+    assert done.stderr == "error: [Errno 32] Broken pipe\n"

@@ -405,7 +405,7 @@ def _read_triplets(text, n, directory):
     finally:
         os.close(r)
     from_file = _triplet_outcome(lambda: read_matrix(path, n), str(path))
-    with mock.patch.object(fileio, "_EXACT_INTEGERS", 0):
+    with mock.patch.object(fileio, "_FLOAT64_EXACT", 0):
         floats = _triplet_outcome(lambda: read_matrix(path, n), str(path))
     return from_file, from_pipe, floats
 

@@ -30,6 +30,15 @@ def test_symmetric_matrix_rejects_non_finite(bad):
 def test_symmetric_matrix_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         SymmetricMatrix([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="matrix must contain at least one unit"):
+        SymmetricMatrix(np.zeros((0, 0)))
+
+
+def test_zero_pattern_rejects_non_square_and_empty():
+    with pytest.raises(ValueError, match=r"zero pattern must be square, got shape \(2, 3\)"):
+        ZeroPattern(np.zeros((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="zero pattern must cover at least one unit"):
+        ZeroPattern(np.zeros((0, 0), dtype=bool))
 
 
 def test_build_zero_pattern_rejects_negative_epsilon():
@@ -89,6 +98,9 @@ def test_cross_group_zeros_errors(fig1):
     pattern, grouping = fig1
     with pytest.raises(ValueError, match="out of range"):
         grouping.label(9)
+    for group in (-1, 3):
+        with pytest.raises(ValueError, match=f"group {group} out of range for k=3"):
+            grouping.member_index(group)
     other = Grouping([0, 1], 2)
     with pytest.raises(ValueError, match="covers"):
         select_candidates(pattern, other, 1)

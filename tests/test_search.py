@@ -11,7 +11,8 @@ from musearch.matrix import (
     ZeroPattern,
     build_zero_pattern,
 )
-from musearch import matrix, search
+from musearch import cli, matrix, search
+from musearch.fixtures import extract
 from musearch.oracle import oracle_count
 from musearch.search import (
     count_identity_submatrices,
@@ -337,8 +338,9 @@ def test_search_packs_the_zero_rows_once(monkeypatch):
 
 
 # the frontier kernel as it runs, in one-row chunks and in two-row chunks,
-# so that chunk boundaries and the row cap are crossed at every depth
-FRONTIER_CHUNKS = [{}, {"_FRONTIER_ROWS": 1}, {"_FLOAT32_EXACT": 3}]
+# so that chunk boundaries and the row cap are crossed at every depth that
+# extends a frontier
+FRONTIER_CHUNKS = [{}, {"_FRONTIER_ROWS": 1}, {"_FRONTIER_ROWS": 2}]
 
 
 def counts_with(pattern, grouping, chunks):
@@ -385,17 +387,22 @@ def test_four_sets_without_zero_pairs_count_zero(chunks):
         assert counts_with(pattern, grouping, chunks)[0] == 0
 
 
-def test_product_chunks_stay_below_the_float32_bound(monkeypatch):
-    pattern, grouping = random_instance(5, 40, 4, 0.2)
-    pg = group_partners(pattern, grouping, 0)
-    assert all(units.size for units in pg.members_by_group.values())
-    # every set reaches the bound, so each chunk holds fewer rows than the
-    # first set, and every product entry stays below the bound
-    smallest = min(len(units) for units in pg.members_by_group.values())
-    monkeypatch.setattr(search, "_FLOAT32_EXACT", smallest)
-    assert count_identity_submatrices(pattern, grouping, pg) == oracle_count(
-        pattern, grouping, 0
-    )
+def test_patterns_stay_below_the_float32_bound(fig1, tmp_path, capsys, monkeypatch):
+    # a float32 product of the search sums at most one row per unit or per
+    # frontier chunk row, so patterns are kept below the bound: fig1 has 9
+    # units, refused by the library and the command line at a bound of 9
+    pattern, _ = fig1
+    matrix_path, groups_path = extract("fig1", tmp_path)
+    argv = ["run", "--matrix", str(matrix_path), "--groups", str(groups_path)]
+    message = "zero pattern must cover fewer than 9 units, got 9"
+    monkeypatch.setattr(matrix, "_FLOAT32_EXACT", 9)
+    with pytest.raises(ValueError, match=message):
+        ZeroPattern(pattern.to_array())
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    monkeypatch.setattr(matrix, "_FLOAT32_EXACT", 10)
+    assert ZeroPattern(pattern.to_array()).n == 9
+    assert cli.main(argv) == 0
 
 
 # -- K = 4 counts through complements, against tables shared by a group ------
@@ -572,27 +579,27 @@ def test_search_builds_each_group_block_once(monkeypatch):
         assert sorted(built) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-def test_shared_tables_refuse_inexact_complement_sums(monkeypatch):
-    pattern, grouping = random_instance(5, 40, 4, 0.2)
-    # the triples of the three other groups of group 0 are the largest
-    # complement sum; the bound at that number refuses, one above it counts
-    triples = math.prod(grouping.sizes[1:])
-    assert triples == max(math.prod(grouping.sizes) // size for size in grouping.sizes)
-    monkeypatch.setattr(search, "_FLOAT64_EXACT", triples + 1)
-    expected = examined_with_tables(pattern, grouping, 2, False)
-    assert examined_with_tables(pattern, grouping, 2, True) == expected
-    monkeypatch.setattr(search, "_FLOAT64_EXACT", triples)
-    with pytest.raises(ValueError, match="too large for an exact count"):
-        examined_with_tables(pattern, grouping, 2, True)
-
-
-def test_shared_tables_refuse_inexact_group_sizes(monkeypatch):
-    pattern, grouping = random_instance(5, 40, 4, 0.2)
-    # below the largest group, every partner set stays exact
-    monkeypatch.setattr(search, "_FLOAT32_EXACT", max(grouping.sizes))
-    assert examined_with_tables(pattern, grouping, 2, False)
-    with pytest.raises(ValueError, match="too large for an exact count"):
-        examined_with_tables(pattern, grouping, 2, True)
+def test_inexact_tables_give_way_to_the_direct_form(monkeypatch):
+    # at m_bar 20 the tables pay for all four groups; group 0 alone has the
+    # largest number of triples across its three other groups, the largest
+    # complement sum. With the float64 bound at that number its tables
+    # would be inexact, and the direct form counts its candidates instead.
+    pattern, grouping = random_instance(1, 60, 4, 0.2)
+    triples = [math.prod(grouping.sizes) // size for size in grouping.sizes]
+    assert triples.index(max(triples)) == 0 and triples.count(max(triples)) == 1
+    built = []
+    build = search._shared_tables
+    monkeypatch.setattr(
+        search, "_shared_tables", lambda *args: built.append(args[2]) or build(*args)
+    )
+    for bound, groups in ((max(triples) + 1, [0, 1, 2, 3]), (max(triples), [1, 2, 3])):
+        built.clear()
+        monkeypatch.setattr(search, "_FLOAT64_EXACT", bound)
+        result = select_maxima(pattern, grouping, 20)
+        assert built == groups
+        examined = [pair for outcome in result.outcomes for pair in outcome.examined]
+        assert len(examined) == pattern.n
+        assert examined == [(unit, oracle_count(pattern, grouping, unit)) for unit, _ in examined]
 
 
 def test_result_types_are_immutable_values(fig1):

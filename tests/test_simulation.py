@@ -48,6 +48,8 @@ def test_bernoulli_rejects_bad_p():
     for p in (0.0, 1.0, 1.2, -0.1):
         with pytest.raises(ValueError, match="p outside"):
             generate_bernoulli_matrix(10, p, seed=0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        generate_bernoulli_matrix(0, 0.5, seed=0)
 
 
 def test_random_grouping_sizes_near_uniform():
@@ -62,6 +64,17 @@ def test_random_grouping_small_instances():
     assert sorted(g.labels) == [0, 1, 2]
     with pytest.raises(ValueError, match="nonempty"):
         random_grouping(2, 3, seed=17)
+    with pytest.raises(ValueError, match="need at least 2 groups, got k=1"):
+        random_grouping(3, 1, seed=17)
+
+
+def test_random_grouping_gives_up_after_its_draws(monkeypatch):
+    # a draw of 3 units fills all 3 groups with probability 6/27, and the
+    # first two draws at seed 17 leave a group empty
+    monkeypatch.setattr(simulation, "_GROUPING_DRAWS", 2)
+    message = "no nonempty grouping of 3 units into 3 groups after 2 draws"
+    with pytest.raises(ValueError, match=message):
+        random_grouping(3, 3, seed=17)
 
 
 def test_random_grouping_deterministic():
@@ -90,6 +103,14 @@ def test_scenario_config_validation():
         ScenarioConfig(**{**good, "k_values": (1,)})
     with pytest.raises(ValueError, match="repetitions"):
         ScenarioConfig(**good, repetitions=0)
+    with pytest.raises(ValueError, match=r"n outside \[1, inf\): \(0,\)"):
+        ScenarioConfig(**{**good, "n_values": (0,)})
+    with pytest.raises(ValueError, match=r"m_bar must be >= 1: \(0,\)"):
+        ScenarioConfig(**{**good, "m_bar_values": (0,)})
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed must fit in 64 bits, got {seed}"):
+            ScenarioConfig(**good, seed=seed)
+    ScenarioConfig(**good, seed=2**64 - 1)
 
 
 def small_config(**overrides):
