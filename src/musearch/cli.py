@@ -214,24 +214,26 @@ def cmd_oracle(args) -> int:
         if o.selected not in argmax and (o.found or argmax):
             disagreements.append(o)
     if args.format == "json":
-        print(json.dumps(_oracle_payload(grouping, report, disagreements), indent=2))
+        print(json.dumps(_oracle_payload(report, result, disagreements), indent=2))
     elif args.format == "csv":
-        print(_oracle_csv(grouping, report), end="")
+        print(_oracle_csv(grouping, report, result), end="")
     else:
         print(_oracle_text(report, disagreements), end="")
     return 2 if disagreements else 0
 
 
-def _oracle_payload(grouping, report, disagreements) -> dict:
+def _oracle_payload(report, result, disagreements) -> dict:
     return {
         "counts": {str(u + 1): c for u, c in enumerate(report.counts)},
         "groups": [
             {
-                "group": g + 1,
-                "max": report.max_by_group[g],
-                "argmax": [u + 1 for u in report.argmax_by_group[g]],
+                "group": o.group + 1,
+                "max": report.max_by_group[o.group],
+                "argmax": [u + 1 for u in report.argmax_by_group[o.group]],
+                "search_pick": None if o.selected is None else o.selected + 1,
+                "search_count": o.count,
             }
-            for g in range(grouping.k)
+            for o in result.outcomes
         ],
         "identity_tuples": report.total,
         "search_agrees": not disagreements,
@@ -259,13 +261,15 @@ def _oracle_text(report, disagreements) -> str:
     return out.getvalue()
 
 
-def _oracle_csv(grouping, report) -> str:
+def _oracle_csv(grouping, report, result) -> str:
+    picks = {o.selected for o in result.outcomes}
     out = StringIO()
-    out.write("unit,group,count,is_argmax\n")
+    out.write("unit,group,count,is_argmax,search_pick\n")
     for u, c in enumerate(report.counts):
         g = grouping.label(u)
-        flag = "true" if u in report.argmax_by_group[g] else "false"
-        out.write(f"{u + 1},{g + 1},{c},{flag}\n")
+        argmax = "true" if u in report.argmax_by_group[g] else "false"
+        pick = "true" if u in picks else "false"
+        out.write(f"{u + 1},{g + 1},{c},{argmax},{pick}\n")
     return out.getvalue()
 
 

@@ -34,32 +34,30 @@ class OracleReport:
     total: int
 
 
-def _zero_sets(zero_pattern: ZeroPattern) -> list[set[int]]:
-    return [set(zero_pattern.partners(i)) for i in range(zero_pattern.n)]
-
-
-def _is_identity(units: tuple[int, ...], zero_sets: list[set[int]]) -> bool:
-    return all(b in zero_sets[a] for a, b in itertools.combinations(units, 2))
-
-
-def oracle_count(zero_pattern: ZeroPattern, grouping: Grouping, unit: int) -> int:
-    """Exact count for one unit by testing every combination of one unit
-    per other group, with no pre-filtering and no pruning."""
-    check_consistent(zero_pattern, grouping)
-    own = grouping.label(unit)
-    others = [grouping.member_index(g).tolist() for g in range(grouping.k) if g != own]
-    work = math.prod(len(m) for m in others)
+def _identity_tuples(zero_pattern: ZeroPattern, unit_lists: list[list[int]]):
+    """Every tuple of one unit from each of ``unit_lists`` whose pairs are
+    all zero, found by testing every combination, with no pre-filtering
+    and no pruning. Refuses, before any test, more than
+    ``TUPLE_TEST_LIMIT`` combinations."""
+    work = math.prod(len(units) for units in unit_lists)
     if work > TUPLE_TEST_LIMIT:
         raise ValueError(
             f"instance too large for the oracle: {work} tuple tests "
             f"exceed the {TUPLE_TEST_LIMIT} limit"
         )
-    zero_sets = _zero_sets(zero_pattern)
-    count = 0
-    for combo in itertools.product(*others):
-        if _is_identity((unit,) + combo, zero_sets):
-            count += 1
-    return count
+    zero_sets = [set(zero_pattern.partners(i)) for i in range(zero_pattern.n)]
+    for combo in itertools.product(*unit_lists):
+        if all(b in zero_sets[a] for a, b in itertools.combinations(combo, 2)):
+            yield combo
+
+
+def oracle_count(zero_pattern: ZeroPattern, grouping: Grouping, unit: int) -> int:
+    """Exact count for one unit: the identity tuples of the unit with one
+    unit per other group."""
+    check_consistent(zero_pattern, grouping)
+    own = grouping.label(unit)
+    others = [grouping.member_index(g).tolist() for g in range(grouping.k) if g != own]
+    return sum(1 for _ in _identity_tuples(zero_pattern, [[unit], *others]))
 
 
 def oracle_maxima(zero_pattern: ZeroPattern, grouping: Grouping) -> OracleReport:
@@ -70,18 +68,10 @@ def oracle_maxima(zero_pattern: ZeroPattern, grouping: Grouping) -> OracleReport
     """
     check_consistent(zero_pattern, grouping)
     groups = [grouping.member_index(g).tolist() for g in range(grouping.k)]
-    work = math.prod(len(m) for m in groups)
-    if work > TUPLE_TEST_LIMIT:
-        raise ValueError(
-            f"instance too large for the oracle: {work} tuple tests "
-            f"exceed the {TUPLE_TEST_LIMIT} limit"
-        )
-    zero_sets = _zero_sets(zero_pattern)
     counts = [0] * zero_pattern.n
-    for combo in itertools.product(*groups):
-        if _is_identity(combo, zero_sets):
-            for u in combo:
-                counts[u] += 1
+    for combo in _identity_tuples(zero_pattern, groups):
+        for u in combo:
+            counts[u] += 1
     max_by_group = []
     argmax_by_group = []
     for members in groups:

@@ -15,17 +15,19 @@ one frontier kernel: a masked float32 product, summed in int64, over at
 most max(N, ``_FRONTIER_ROWS``) rows, and a zero pattern has N < 2^24
 units, which keeps every entry exact. More than four sets first fix each
 unit of the smallest once. The zero pattern is read as bool rows or zero
-counts.
+counts. A candidate with an empty partner set counts 0 in
+``count_identity_submatrices`` itself, before any kernel runs.
 
 Three sets (K = 4) may instead be counted through their complements in
 the full other groups, by inclusion-exclusion against triangle tables
-that the candidates of one group share: the unit and edge terms for all
-of the group's candidates in one batch, the triangles among each
-candidate's complements by the frontier kernel. ``select_maxima`` builds
-those tables for a group only when they are exact, below 2^53 triples
-across the three other groups, and take fewer multiply-adds than the
-candidates' own products, from group-pair blocks that it builds once per
-search; other groups take the direct form, exact at any size.
+that the candidates of one group share (``_GroupTables``): the unit and
+edge terms for the group's candidates with no empty partner set in one
+batch, the triangles among each one's complements by the frontier
+kernel. ``select_maxima`` builds those tables for a group only when they
+are exact, below 2^53 triples across the three other groups, and take
+fewer multiply-adds than the candidates' own products, from group-pair
+blocks that it builds once per search; other groups take the direct
+form, exact at any size.
 """
 
 from __future__ import annotations
@@ -194,16 +196,23 @@ def count_identity_submatrices(
     M_D in D. With more than four sets each unit of the smallest is fixed
     once, and the others shrink to its zero partners first.
 
+    A candidate with an empty partner set counts 0 here, before any
+    kernel or table is consulted.
+
     ``select_maxima`` may pass the private ``_tables`` of the candidate's
-    group (K = 4 only), whose batch holds the candidate. The count is then
-    taken through the complements of the candidate's partner sets in their
-    full groups (see ``_count_through_complements``), together with those
-    of the rest of the batch on the first call that asks for one.
+    group (K = 4 only), whose batch holds every candidate of the group with
+    no empty partner set. The count is then taken through the complements
+    of the candidate's partner sets in their full groups (see
+    ``_GroupTables.count``), together with those of the rest of the batch
+    on the first call that asks for one.
     """
     check_consistent(zero_pattern, grouping)
+    sets = list(partners.members_by_group.values())
+    if not all(s.size for s in sets):
+        return 0
     if _tables is not None:
-        return _tables.count(zero_pattern, partners.candidate)
-    return _count_cliques(zero_pattern, list(partners.members_by_group.values()))
+        return _tables.count(partners.candidate)
+    return _count_cliques(zero_pattern, sets)
 
 
 def _count_cliques(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
@@ -222,8 +231,6 @@ def _count_cliques(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
 
 def _count_frontier(zero_pattern: ZeroPattern, sets: list[np.ndarray]) -> int:
     """The cliques across three or more ``sets``, smallest first."""
-    if not sets[0].size:
-        return 0
     # Z[S_i,S_j] is Z[S_j,S_i] transposed: that column gather is laid out in
     # Fortran order, so the block is C-contiguous, for gathers of its rows
     rows = [zero_pattern._rows(s) for s in sets[1:]]
@@ -254,40 +261,16 @@ def _extend(blocks: list[list[np.ndarray]], masks: list[np.ndarray]) -> int:
     return count
 
 
-class _GroupTables:
-    """Triangle tables over the three groups other than a K = 4 group's own
-    (see ``_shared_tables``), and the counts of the group's candidates in
-    ``batch``, taken in one batch by the first count that asks for one."""
-
-    __slots__ = ("groups", "pairs", "sums", "total", "batch", "counts")
-
-    def __init__(self, groups, pairs, sums, total, batch) -> None:
-        self.groups, self.pairs, self.sums = groups, pairs, sums
-        self.total, self.batch = total, batch
-        self.counts: dict[int, int] = {}
-
-    def count(self, zero_pattern: ZeroPattern, unit: int) -> int:
-        if not self.counts:
-            counts = _count_through_complements(zero_pattern, self, self.batch)
-            self.counts.update(zip(self.batch, counts))
-        return self.counts[unit]
-
-
 def _group_block(zero_pattern: ZeroPattern, grouping: Grouping, x: int, y: int) -> np.ndarray:
     """Z[G_x, G_y] in float32."""
     rows = zero_pattern._rows(grouping.member_index(x))
     return np.take(rows, grouping.member_index(y), axis=1).astype(np.float32)
 
 
-def _shared_tables(
-    zero_pattern: ZeroPattern,
-    grouping: Grouping,
-    group: int,
-    blocks: dict[tuple[int, int], np.ndarray],
-    batch: list[int],
-) -> _GroupTables:
-    """Triangle counts over the full groups A, B, C other than ``group``,
-    in ascending label order, for the candidates of ``group`` in ``batch``.
+class _GroupTables:
+    """Triangle tables over the full groups A, B, C other than a K = 4
+    ``group``, in ascending label order, and the counts of the group's
+    candidates in ``batch``, none with an empty partner set.
 
     The blocks Z[G_A,G_B], Z[G_A,G_C] and Z[G_B,G_C] are taken from
     ``blocks``, keyed by label pair, and built there on first use, so that
@@ -296,54 +279,59 @@ def _shared_tables(
     of c in C with (a, b, c) a triangle, and so on. ``sums`` holds F_A, F_B
     and F_C, the triangles through each unit, and ``total`` all triangles.
     """
-    labels = [g for g in range(grouping.k) if g != group]
-    groups = [grouping.member_index(g) for g in labels]
-    keys = list(itertools.combinations(labels, 2))
-    for key in keys:
-        if key not in blocks:
-            blocks[key] = _group_block(zero_pattern, grouping, *key)
-    ab, ac, bc = (blocks[key] for key in keys)
-    pairs = ((ac @ bc.T) * ab, (ab @ bc) * ac, (ab.T @ ac) * bc)
-    # each sum is at most |G_A||G_B||G_C|, exact in float64 (_tables_pay)
-    sum_a = pairs[0].sum(axis=1, dtype=np.float64)
-    sums = (sum_a, pairs[0].sum(axis=0, dtype=np.float64), pairs[1].sum(axis=0, dtype=np.float64))
-    return _GroupTables(groups, pairs, sums, int(sum_a.sum()), batch)
 
+    __slots__ = ("zero_pattern", "groups", "pairs", "sums", "total", "batch", "counts")
 
-def _count_through_complements(
-    zero_pattern: ZeroPattern, tables: _GroupTables, units: list[int]
-) -> list[int]:
-    """The counts of ``units``, candidates of the tables' group, through
-    the complements Y_A = G_A minus A, Y_B and Y_C of their partner sets.
+    def __init__(
+        self,
+        zero_pattern: ZeroPattern,
+        grouping: Grouping,
+        group: int,
+        blocks: dict[tuple[int, int], np.ndarray],
+        batch: list[int],
+    ) -> None:
+        labels = [g for g in range(grouping.k) if g != group]
+        keys = list(itertools.combinations(labels, 2))
+        for key in keys:
+            if key not in blocks:
+                blocks[key] = _group_block(zero_pattern, grouping, *key)
+        ab, ac, bc = (blocks[key] for key in keys)
+        pairs = ((ac @ bc.T) * ab, (ab @ bc) * ac, (ab.T @ ac) * bc)
+        # each sum is at most |G_A||G_B||G_C|, exact in float64 (_tables_pay)
+        sum_a = pairs[0].sum(axis=1, dtype=np.float64)
+        self.sums = (sum_a, *(m.sum(axis=0, dtype=np.float64) for m in pairs[:2]))
+        self.zero_pattern, self.pairs, self.total = zero_pattern, pairs, int(sum_a.sum())
+        self.groups = [grouping.member_index(g) for g in labels]
+        self.batch = batch
+        self.counts: dict[int, int] = {}
 
-    By inclusion-exclusion a count is the triangles of the full groups,
-    minus those through a unit of a complement, plus those through an
-    edge between two complements, minus the triangles among the
-    complements themselves. The unit and edge terms are float64 products
-    over the candidates' complements as bool rows; the last term is each
-    candidate's own frontier count over its three complements. A
-    candidate with an empty partner set counts 0 and is left out, since
-    its complement is a whole group.
-    """
-    rows = zero_pattern._rows(np.asarray(units, dtype=np.intp))
-    outside = [~np.take(rows, g, axis=1) for g in tables.groups]
-    live = ~np.logical_or.reduce([y.all(axis=1) for y in outside])
-    counts = np.zeros(len(units), dtype=np.int64)
-    if not live.any():
-        return counts.tolist()
-    outside = [y[live] for y in outside]
-    ys = [y.astype(np.float64) for y in outside]
-    count = np.full(len(ys[0]), tables.total, dtype=np.int64)
-    for through_unit, y in zip(tables.sums, ys):
-        count -= (y @ through_unit).astype(np.int64)
-    for through_edge, (i, j) in zip(tables.pairs, itertools.combinations(range(3), 2)):
-        count += ((ys[i] @ through_edge) * ys[j]).sum(axis=1).astype(np.int64)
-    count -= [
-        _count_cliques(zero_pattern, [g[y] for g, y in zip(tables.groups, complements)])
-        for complements in zip(*outside)
-    ]
-    counts[live] = count
-    return counts.tolist()
+    def count(self, unit: int) -> int:
+        """The count of ``unit``, one of the batch, with those of the whole
+        batch on the first call, through the complements Y_A = G_A minus A,
+        Y_B and Y_C of their partner sets.
+
+        By inclusion-exclusion a count is the triangles of the full groups,
+        minus those through a unit of a complement, plus those through an
+        edge between two complements, minus the triangles among the
+        complements themselves. The unit and edge terms are float64 products
+        over the candidates' complements as bool rows; the last term is each
+        candidate's own frontier count over its three complements.
+        """
+        if not self.counts:
+            rows = self.zero_pattern._rows(np.asarray(self.batch, dtype=np.intp))
+            outside = [~np.take(rows, g, axis=1) for g in self.groups]
+            ys = [y.astype(np.float64) for y in outside]
+            count = np.full(len(self.batch), self.total, dtype=np.int64)
+            for through_unit, y in zip(self.sums, ys):
+                count -= (y @ through_unit).astype(np.int64)
+            for through_edge, (i, j) in zip(self.pairs, itertools.combinations(range(3), 2)):
+                count += ((ys[i] @ through_edge) * ys[j]).sum(axis=1).astype(np.int64)
+            count -= [
+                _count_cliques(self.zero_pattern, [g[y] for g, y in zip(self.groups, complements)])
+                for complements in zip(*outside)
+            ]
+            self.counts.update(zip(self.batch, count.tolist()))
+        return self.counts[unit]
 
 
 def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:
@@ -351,13 +339,13 @@ def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:
     at most |G_A||G_B||G_C| < ``_FLOAT64_EXACT``, and take fewer
     multiply-adds than its candidates' own frontier products: three
     products over the full groups plus each candidate's frontier product
-    over its complements, against one over its partner sets. Candidates
-    with an empty partner set are in neither."""
+    over its complements, against one over its partner sets. The caller
+    prices only the candidates with no empty partner set."""
     g_a, g_b, g_c = group_sizes
     if g_a * g_b * g_c >= _FLOAT64_EXACT:
         return False
     shared = 3 * g_a * g_b * g_c + sum(
-        (g_a - a) * (g_b - b) * (g_c - c) for a, b, c in partner_sizes if a and b and c
+        (g_a - a) * (g_b - b) * (g_c - c) for a, b, c in partner_sizes
     )
     return shared < sum(a * b * c for a, b, c in partner_sizes)
 
@@ -369,9 +357,10 @@ def select_maxima(
 
     A group whose best count is zero (or which produced no candidates)
     reports not-found rather than raising; the counts of every examined
-    candidate are kept in the result. At K = 4 a group's candidates share
-    triangle tables over the other three groups whenever ``_tables_pay``,
-    and are then counted in one batch; otherwise each is counted directly.
+    candidate are kept in the result. At K = 4 a group's candidates with no
+    empty partner set share triangle tables over the other three groups
+    whenever ``_tables_pay``, and are then counted in one batch; otherwise
+    each is counted directly.
     """
     candidates = select_candidates(zero_pattern, grouping, m_bar)
     blocks: dict[tuple[int, int], np.ndarray] = {}  # shared by the groups' tables
@@ -379,13 +368,12 @@ def select_maxima(
     for group, group_candidates in enumerate(candidates.per_group):
         partners = [group_partners(zero_pattern, grouping, c.unit) for c in group_candidates]
         tables = None
-        if grouping.k == 4 and partners:
+        if grouping.k == 4:
             others = [size for g, size in enumerate(grouping.sizes) if g != group]
-            sizes = [[u.size for u in p.members_by_group.values()] for p in partners]
-            if _tables_pay(others, sizes):
-                tables = _shared_tables(
-                    zero_pattern, grouping, group, blocks, [p.candidate for p in partners]
-                )
+            sizes = {p.candidate: [u.size for u in p.members_by_group.values()] for p in partners}
+            batch = [unit for unit, s in sizes.items() if all(s)]
+            if _tables_pay(others, [sizes[unit] for unit in batch]):
+                tables = _GroupTables(zero_pattern, grouping, group, blocks, batch)
         examined = []
         best_unit: int | None = None
         best_count = 0

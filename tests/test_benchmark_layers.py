@@ -68,9 +68,9 @@ def test_layer_metrics_with_shared_k4_tables(layers, tmp_path, monkeypatch):
     write_matrix_csv(generate_bernoulli_matrix(200, 0.2, 11), matrix)
     write_grouping_csv(random_grouping(200, 4, 12), groups)
     built = []
-    build = search._shared_tables
+    build = search._GroupTables
     monkeypatch.setattr(
-        search, "_shared_tables", lambda *args: built.append(args[2]) or build(*args)
+        search, "_GroupTables", lambda *args: built.append(args[2]) or build(*args)
     )
     assert_layers_valid(layers, matrix, groups, 20)
     assert sorted(built) == [0, 1, 2, 3]

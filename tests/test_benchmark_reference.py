@@ -33,9 +33,9 @@ def test_smoke_workload_matches_reference(perfbench, tmp_path, capsys, monkeypat
     instance = workloads.generate(workload, seed)
     matrix, groups = workloads.write(instance, tmp_path, workload.fmt)
     tables = []
-    build = search._shared_tables
+    build = search._GroupTables
     monkeypatch.setattr(
-        search, "_shared_tables", lambda *args: tables.append(args[2]) or build(*args)
+        search, "_GroupTables", lambda *args: tables.append(args[2]) or build(*args)
     )
     argv = ["run", "--matrix", str(matrix), "--groups", str(groups)]
     code = cli.main(argv + ["--m-bar", str(workload.m_bar), "--format", "json"])

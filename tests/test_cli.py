@@ -187,7 +187,30 @@ def test_oracle_names_each_disagreeing_group(fixture_files, capsys, monkeypatch)
     ]
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 2
-    assert json.loads(out)["search_agrees"] is False
+    payload = json.loads(out)
+    assert payload["search_agrees"] is False
+    picks = [(g["group"], g["search_pick"], g["search_count"]) for g in payload["groups"]]
+    assert picks == [(1, 3, 1), (2, None, 0)]
+    assert [g["argmax"] for g in payload["groups"]] == [[6, 7], [8]]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 8
+    assert [int(r["unit"]) for r in rows if r["search_pick"] == "true"] == [3]
+    assert {int(r["unit"]) for r in rows if r["is_argmax"] == "true"} == {6, 7, 8}
+    # the search as it is agrees: each found group's pick is in its argmax
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    picked = [r for r in csv.DictReader(io.StringIO(out)) if r["search_pick"] == "true"]
+    assert [(r["unit"], r["group"], r["is_argmax"]) for r in picked] == [
+        ("6", "1", "true"),
+        ("8", "2", "true"),
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    picks = [(g["search_pick"], g["search_count"]) for g in json.loads(out)["groups"]]
+    assert picks == [(6, 3), (8, 5)]
 
 
 def test_oracle_size_guard(tmp_path, capsys):
@@ -538,9 +561,9 @@ def test_run_never_rebuilds_the_bool_matrix(fixture_files, tmp_path, capsys, mon
 
     monkeypatch.setattr(ZeroPattern, "to_array", refused)
     tables, set_counts = [], set()
-    build, count = search._shared_tables, search._count_cliques
+    build, count = search._GroupTables, search._count_cliques
     monkeypatch.setattr(
-        search, "_shared_tables", lambda *args: tables.append(args[2]) or build(*args)
+        search, "_GroupTables", lambda *args: tables.append(args[2]) or build(*args)
     )
     monkeypatch.setattr(
         search, "_count_cliques", lambda zp, sets: set_counts.add(len(sets)) or count(zp, sets)

@@ -1,10 +1,32 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
 import musearch
+from musearch.cli import parse_scenario_config
+from musearch.simulation import ScenarioConfig
 
 from conftest import run_fresh_python
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(info):
+    """The README's fenced blocks whose opening fence reads ```info, in
+    order, as text."""
+    blocks, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("```"):
+            if current is not None:
+                current.append(line)
+        elif current is None:
+            opened, current = line[3:], []
+        else:
+            if opened == info:
+                blocks.append("\n".join(current) + "\n")
+            current = None
+    return blocks
 
 
 def test_import_loads_no_numpy():
@@ -52,3 +74,23 @@ def test_count_from_partner_groups_stays_in_search():
     from musearch.search import count_identity_submatrices
 
     assert musearch.search.count_identity_submatrices is count_identity_submatrices
+
+
+def test_readme_library_example_prints_its_comments():
+    (code,) = readme_blocks("python")
+    expected = [line.rsplit("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert expected == ["[6, 8]", "True"]
+    assert run_fresh_python(code).splitlines() == expected
+
+
+def test_readme_simulate_configs_parse():
+    example, paper = (parse_scenario_config(text) for text in readme_blocks(""))
+    assert example == ScenarioConfig((100, 500), (2, 3, 4), (1, 5, 10, 20), (0.8, 0.5, 0.2), 42)
+    assert paper == ScenarioConfig(
+        n_values=(100, 500, 1000),
+        k_values=(2, 3, 4),
+        m_bar_values=(1, 5, 10, 20),
+        p_values=(0.8, 0.5, 0.2),
+        seed=20160801,
+        repetitions=1,
+    )

@@ -446,25 +446,32 @@ def test_select_maxima_shares_tables_by_the_rule(monkeypatch):
         assert len(passed) == 4 * m_bar
 
 
-def four_group_instance(covered=(), missed=()):
-    # unit 0 of group 0 is made zero to every unit of the ``covered`` groups
-    # (an empty complement) and to none of the ``missed`` ones (an empty
-    # partner set); the rest is random at zero density 0.7
-    labels = [0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3]
+def group_instance(covered=(), missed=(), k=4):
+    # k groups of 2, 3, 4, ... units. Unit 0 of group 0 is made zero to
+    # every unit of the ``covered`` groups (an empty complement) and to none
+    # of the ``missed`` ones (an empty partner set); the rest is random at
+    # zero density 0.7
+    labels = [0, 0] + [g for g in range(1, k) for _ in range(g + 2)]
     rng = np.random.default_rng(7)
     upper = np.triu(rng.random((len(labels), len(labels))) < 0.7, 1)
     zero = upper | upper.T
-    grouping = Grouping(labels, 4)
+    grouping = Grouping(labels, k)
     for group, value in [(g, True) for g in covered] + [(g, False) for g in missed]:
         units = grouping.member_index(group)
         zero[0, units] = zero[units, 0] = value
     return ZeroPattern(zero), grouping
 
 
+def countable(partners):
+    # a candidate whose partner sets are all non-empty, one select_maxima
+    # may put in a K = 4 batch
+    return all(units.size for units in partners.members_by_group.values())
+
+
 def count_with_tables(pattern, grouping, unit, batch=None):
     # in a batch of its own, or in ``batch`` with other units of its group
     own = grouping.label(unit)
-    tables = search._shared_tables(pattern, grouping, own, {}, batch or [unit])
+    tables = search._GroupTables(pattern, grouping, own, {}, batch or [unit])
     partners = group_partners(pattern, grouping, unit)
     return count_identity_submatrices(pattern, grouping, partners, _tables=tables)
 
@@ -474,7 +481,7 @@ def count_with_tables(pattern, grouping, unit, batch=None):
     [((1, 2, 3), ()), ((2,), ()), ((1, 3), ()), ((), (2,)), ((1, 2), (3,)), ((), (1, 2, 3))],
 )
 def test_shared_tables_at_empty_sets(covered, missed):
-    pattern, grouping = four_group_instance(covered, missed)
+    pattern, grouping = group_instance(covered, missed)
     expected = oracle_count(pattern, grouping, 0)
     assert (expected == 0) == bool(missed)
     assert count_with_tables(pattern, grouping, 0) == expected
@@ -488,7 +495,7 @@ def test_shared_tables_at_empty_sets_in_a_batch(covered, missed):
     # the whole of group 0, units 0 and 1, is counted in one batch; unit 1
     # has partners in every group, so with ``missed`` the batch holds an
     # empty partner set beside one that is not
-    pattern, grouping = four_group_instance(covered, missed)
+    pattern, grouping = group_instance(covered, missed)
     partners = group_partners(pattern, grouping, 1).members_by_group
     assert all(units.size for units in partners.values())
     for unit in (0, 1):
@@ -501,28 +508,32 @@ def test_shared_tables_at_empty_sets_in_a_batch(covered, missed):
     [((1, 2, 3), ()), ((2,), ()), ((1, 3), ()), ((), (2,)), ((1, 2), (3,)), ((), (1, 2, 3))],
 )
 def test_complement_triangles_go_through_the_frontier_kernel(monkeypatch, covered, missed):
-    # group 0, units 0 and 1, counted in one batch: each unit with no empty
-    # partner set hands the kernel, once and in batch order, the members of
-    # groups 1, 2 and 3 outside its partner sets; unit 0 with ``missed``
-    # hands it nothing
-    pattern, grouping = four_group_instance(covered, missed)
+    # group 0's units with no empty partner set, counted in one batch, as
+    # select_maxima builds it: each hands the kernel, once and in batch
+    # order, the members of groups 1, 2 and 3 outside its partner sets.
+    # Unit 0 with ``missed`` is in no batch: it counts 0 and hands the
+    # kernel nothing
+    pattern, grouping = group_instance(covered, missed)
     calls = []
     count = search._count_cliques
     monkeypatch.setattr(
         search, "_count_cliques", lambda zp, sets: calls.append(sets) or count(zp, sets)
     )
-    tables = search._shared_tables(pattern, grouping, 0, {}, [0, 1])
+    partners = [group_partners(pattern, grouping, unit) for unit in (0, 1)]
+    batch = [p.candidate for p in partners if countable(p)]
+    assert batch == ([1] if missed else [0, 1])
+    tables = search._GroupTables(pattern, grouping, 0, {}, batch)
     expected = []
-    for unit in (0, 1):
-        partners = group_partners(pattern, grouping, unit)
-        members = partners.members_by_group
-        if all(units.size for units in members.values()):
+    for unit_partners in partners:
+        members = unit_partners.members_by_group
+        got = count_identity_submatrices(pattern, grouping, unit_partners, _tables=tables)
+        if unit_partners.candidate in batch:
             expected.append(
                 [np.setdiff1d(grouping.member_index(g), members[g]) for g in (1, 2, 3)]
             )
-        count_identity_submatrices(pattern, grouping, partners, _tables=tables)
-    assert len(expected) == 2 - bool(missed)
-    assert len(calls) == len(expected)
+        else:
+            assert (got, calls) == (0, [])
+    assert len(calls) == len(expected) == len(batch)
     for sets, complements in zip(calls, expected):
         assert len(sets) == 3
         for got, want in zip(sets, complements):
@@ -544,21 +555,72 @@ def uneven_four_group_instances(draw):
     return ZeroPattern(upper | upper.T), Grouping(list(range(4)) + tail, 4)
 
 
+def refused(*args):
+    raise AssertionError("a kernel ran")
+
+
 @given(uneven_four_group_instances(), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_complement_batches_match_oracle(inst, whole_groups):
-    # every unit of a group in one batch, or each unit in a batch of its own
+    # a group's units with no empty partner set in one batch, as
+    # select_maxima builds it, or each in a batch of its own; the others
+    # count 0 with no kernel and no table count called
     pattern, grouping = inst
     for group in range(4):
         units = grouping.member_index(group).tolist()
-        batches = [units] if whole_groups else [[unit] for unit in units]
-        for batch in batches:
-            tables = search._shared_tables(pattern, grouping, group, {}, batch)
-            for unit in batch:
-                partners = group_partners(pattern, grouping, unit)
-                got = count_identity_submatrices(pattern, grouping, partners, _tables=tables)
-                assert got == oracle_count(pattern, grouping, unit), (group, unit)
-            assert sorted(tables.counts) == sorted(batch)
+        partners = [group_partners(pattern, grouping, unit) for unit in units]
+        batch = [p for p in partners if countable(p)]
+        for part in [batch] if whole_groups else [[p] for p in batch]:
+            tables = search._GroupTables(pattern, grouping, group, {}, [p.candidate for p in part])
+            for p in part:
+                got = count_identity_submatrices(pattern, grouping, p, _tables=tables)
+                assert got == oracle_count(pattern, grouping, p.candidate), (group, p.candidate)
+            assert sorted(tables.counts) == [p.candidate for p in part]
+        tables = search._GroupTables(pattern, grouping, group, {}, [p.candidate for p in batch])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_count_cliques", refused)
+            patch.setattr(search._GroupTables, "count", refused)
+            for p in partners:
+                if p not in batch:
+                    got = count_identity_submatrices(pattern, grouping, p, _tables=tables)
+                    assert got == 0 == oracle_count(pattern, grouping, p.candidate)
+
+
+@pytest.mark.parametrize("k, tables", [(2, None), (3, None), (4, True), (4, False), (5, None)])
+def test_an_empty_partner_set_counts_zero_before_any_kernel(monkeypatch, k, tables):
+    # unit 0 of group 0 has no zero partner in group k - 1: it counts 0
+    # before either kernel or its group's tables are asked, and at K = 4,
+    # with the tables forced on or off, it is in no batch
+    pattern, grouping = group_instance(missed=(k - 1,), k=k)
+    empty = group_partners(pattern, grouping, 0)
+    assert not countable(empty)
+    cliques, counted, batches = [], [], []
+    count, build = search._count_cliques, search._GroupTables
+    count_batch = build.count
+    monkeypatch.setattr(
+        search, "_count_cliques", lambda zp, sets: cliques.append(sets) or count(zp, sets)
+    )
+    monkeypatch.setattr(
+        build, "count", lambda self, unit: counted.append(unit) or count_batch(self, unit)
+    )
+    monkeypatch.setattr(
+        search, "_GroupTables", lambda *args: batches.append(args[4]) or build(*args)
+    )
+    if tables is not None:
+        monkeypatch.setattr(search, "_tables_pay", lambda *sizes: tables)
+    own_tables = build(pattern, grouping, 0, {}, []) if k == 4 else None
+    assert count_identity_submatrices(pattern, grouping, empty, _tables=own_tables) == 0
+    assert (cliques, counted) == ([], [])
+    result = select_maxima(pattern, grouping, max(grouping.sizes))
+    examined = [pair for outcome in result.outcomes for pair in outcome.examined]
+    # at K = 2 a unit with no partner has no cross-group zero: no candidate
+    assert ((0, 0) in examined) == (k > 2)
+    assert examined == [(unit, oracle_count(pattern, grouping, unit)) for unit, _ in examined]
+    # one kernel call for each countable candidate, in or out of a batch
+    units = [unit for unit, _ in examined if countable(group_partners(pattern, grouping, unit))]
+    assert len(cliques) == len(units)
+    assert 0 not in counted
+    assert sorted(sum(batches, [])) == (sorted(units) if tables else [])
 
 
 def test_search_builds_each_group_block_once(monkeypatch):
@@ -588,9 +650,9 @@ def test_inexact_tables_give_way_to_the_direct_form(monkeypatch):
     triples = [math.prod(grouping.sizes) // size for size in grouping.sizes]
     assert triples.index(max(triples)) == 0 and triples.count(max(triples)) == 1
     built = []
-    build = search._shared_tables
+    build = search._GroupTables
     monkeypatch.setattr(
-        search, "_shared_tables", lambda *args: built.append(args[2]) or build(*args)
+        search, "_GroupTables", lambda *args: built.append(args[2]) or build(*args)
     )
     for bound, groups in ((max(triples) + 1, [0, 1, 2, 3]), (max(triples), [1, 2, 3])):
         built.clear()
