@@ -357,8 +357,8 @@ def cmd_fixtures(args) -> int:
     from . import fixtures
 
     if args.extract is None:
-        for fixture in fixtures.FIXTURES.values():
-            print(f"{fixture.name}: {fixture.description}")
+        for name, (description, _, _) in fixtures.FIXTURES.items():
+            print(f"{name}: {description}")
         return 0
     matrix_path, groups_path = fixtures.extract(args.extract, args.out_dir)
     print(f"wrote {matrix_path} and {groups_path}")

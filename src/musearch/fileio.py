@@ -23,7 +23,7 @@ import os
 import stat
 import warnings
 from pathlib import Path
-from typing import BinaryIO, Callable, ContextManager, Iterable
+from typing import BinaryIO, Callable, Collection, ContextManager, Iterable
 
 import numpy as np
 
@@ -209,7 +209,7 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     float64, so the cast changes none. Any other file keeps its values as
     float64.
     """
-    t = np.loadtxt(source, dtype=_TRIPLET, comments=None, ndmin=1)
+    t = np.loadtxt(source, dtype=_TRIPLET, comments=None, ndmin=1, encoding="utf-8")
     # 0-based in the table's own fields, so that the flat indices are the
     # only index arrays the scatter adds
     i, j, value = t["i"], t["j"], t["value"]
@@ -313,7 +313,11 @@ def _grouping_labels(text: str) -> tuple[np.ndarray, int] | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty text only warns
             values = np.loadtxt(
-                io.StringIO(text), dtype=np.int64, delimiter=",", comments=None, ndmin=2
+                io.StringIO(text, newline=None),
+                dtype=np.int64,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
             )
     except (ValueError, Warning):
         return None
@@ -333,7 +337,7 @@ def _grouping_labels(text: str) -> tuple[np.ndarray, int] | None:
 
 def _grouping_labels_by_line(text: str, source: str) -> tuple[list[int], int]:
     assigned: dict[int, tuple[int, int]] = {}
-    for lineno, line in _numbered_lines(text.splitlines()):
+    for lineno, line in _numbered_lines(io.StringIO(text, newline=None)):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise ValueError(
@@ -367,18 +371,13 @@ def _grouping_labels_by_line(text: str, source: str) -> tuple[list[int], int]:
     return [assigned[u][0] - 1 for u in range(1, n + 1)], k
 
 
-def _first_gap(values: Iterable[int]) -> int:
+def _first_gap(values: Collection[int]) -> int:
     """The least integer from 1 up that is not among the positive ``values``.
 
     It takes time and memory for the values given, not for the largest,
     so a unit or label of 10**12 is named as cheaply as one of 10.
     """
-    gap = 1
-    for value in sorted(values):
-        if value != gap:
-            break
-        gap += 1
-    return gap
+    return min(set(range(1, len(values) + 2)).difference(values))
 
 
 def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
@@ -396,7 +395,9 @@ def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
         # rescan that names a bad line all work on its bytes.
         data = None if regular else file.read()
         fixed = _load_fixed_width(file if regular else io.BytesIO(data))
-    lines = path.open if regular else lambda: io.TextIOWrapper(io.BytesIO(data))
+    lines = lambda: io.TextIOWrapper(  # noqa: E731
+        path.open("rb") if regular else io.BytesIO(data), encoding="utf-8"
+    )
     try:
         return _parse_matrix(fixed, lines, str(path), n, path if regular else None)
     except UnicodeDecodeError:
@@ -407,10 +408,7 @@ def read_matrix(path: str | Path, n: int | None = None) -> SymmetricMatrix:
 
 def read_grouping(path: str | Path) -> Grouping:
     path = Path(path)
-    # CRLF read as LF, as text mode reads it, so that such a file can take
-    # the numpy path of parse_grouping_text
-    text = _decode(path.read_bytes(), str(path)).replace("\r\n", "\n")
-    return parse_grouping_text(text, source=str(path))
+    return parse_grouping_text(_decode(path.read_bytes(), str(path)), source=str(path))
 
 
 def _decode(data: bytes, source: str) -> str:

@@ -10,13 +10,12 @@ attack-skill group (features 3,4,5,6,7) and a defence-skill group
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .fileio import parse_grouping_text, parse_matrix_text
 from .matrix import Grouping, SymmetricMatrix
 
-__all__ = ["Fixture", "FIXTURES", "load", "extract"]
+__all__ = ["FIXTURES", "load", "extract"]
 
 _FIG1_MATRIX = """\
 1,1,1,1,1,0,1,0,0
@@ -65,50 +64,36 @@ _TENNIS_GROUPS = """\
 """
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    description: str
-    matrix_csv: str
-    groups_csv: str
-
-    def load(self) -> tuple[SymmetricMatrix, Grouping]:
-        matrix = parse_matrix_text(self.matrix_csv, source=f"{self.name}.csv")
-        grouping = parse_grouping_text(self.groups_csv, source=f"{self.name}_groups.csv")
-        return matrix, grouping
-
-
+# name: (description, matrix CSV, grouping CSV)
 FIXTURES = {
-    "fig1": Fixture(
-        name="fig1",
-        description="9x9 binary matrix, three groups of three units",
-        matrix_csv=_FIG1_MATRIX,
-        groups_csv=_FIG1_GROUPS,
-    ),
-    "tennis": Fixture(
-        name="tennis",
-        description="8x8 game-feature co-occurrence counts (Wimbledon 2016), two groups",
-        matrix_csv=_TENNIS_MATRIX,
-        groups_csv=_TENNIS_GROUPS,
+    "fig1": ("9x9 binary matrix, three groups of three units", _FIG1_MATRIX, _FIG1_GROUPS),
+    "tennis": (
+        "8x8 game-feature co-occurrence counts (Wimbledon 2016), two groups",
+        _TENNIS_MATRIX,
+        _TENNIS_GROUPS,
     ),
 }
 
 
-def load(name: str) -> tuple[SymmetricMatrix, Grouping]:
+def _texts(name: str) -> tuple[str, str]:
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
-    return FIXTURES[name].load()
+    return FIXTURES[name][1:]
+
+
+def load(name: str) -> tuple[SymmetricMatrix, Grouping]:
+    matrix_csv, groups_csv = _texts(name)
+    matrix = parse_matrix_text(matrix_csv, source=f"{name}.csv")
+    return matrix, parse_grouping_text(groups_csv, source=f"{name}_groups.csv")
 
 
 def extract(name: str, out_dir: str | Path) -> tuple[Path, Path]:
     """Write ``<name>.csv`` and ``<name>_groups.csv`` into ``out_dir``."""
-    if name not in FIXTURES:
-        raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
-    fixture = FIXTURES[name]
+    matrix_csv, groups_csv = _texts(name)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     matrix_path = out / f"{name}.csv"
     groups_path = out / f"{name}_groups.csv"
-    matrix_path.write_text(fixture.matrix_csv)
-    groups_path.write_text(fixture.groups_csv)
+    matrix_path.write_text(matrix_csv)
+    groups_path.write_text(groups_csv)
     return matrix_path, groups_path

@@ -15,7 +15,7 @@ what makes selected counts comparable across m_bar.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 from pathlib import Path
 from statistics import mean
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .matrix import Grouping, SymmetricMatrix, build_zero_pattern
-from .search import PivotResult, select_maxima
+from .search import select_maxima
 
 __all__ = [
     "ScenarioConfig",
@@ -103,29 +103,18 @@ class ScenarioRecord:
     elapsed_seconds: float
 
 
-CSV_COLUMNS = (
-    "n",
-    "k",
-    "m_bar",
-    "p",
-    "repetition",
-    "seed",
-    "maxima",
-    "counts",
-    "candidate_lengths",
-    "elapsed_seconds",
-)
-
-
 @dataclass(frozen=True)
 class ScenarioReport:
     config: ScenarioConfig
     records: tuple[ScenarioRecord, ...]
 
     def to_csv_text(self) -> str:
-        """One row per cell repetition; maxima are 1-based, '-' marks not-found."""
+        """One row per cell repetition; maxima are 1-based, '-' marks not-found.
+
+        The columns are ``ScenarioRecord``'s fields in order, timing last.
+        """
         out = StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
+        out.write(",".join(f.name for f in fields(ScenarioRecord)) + "\n")
         for r in self.records:
             maxima = ";".join("-" if u is None else str(u + 1) for u in r.maxima)
             counts = ";".join(str(c) for c in r.counts)
@@ -224,30 +213,6 @@ def instance_for_cell(
     return cell_seed, matrix, grouping
 
 
-def _record(
-    n: int,
-    k: int,
-    m_bar: int,
-    p: float,
-    repetition: int,
-    seed: int,
-    result: PivotResult,
-    elapsed: float,
-) -> ScenarioRecord:
-    return ScenarioRecord(
-        n=n,
-        k=k,
-        m_bar=m_bar,
-        p=p,
-        repetition=repetition,
-        seed=seed,
-        maxima=tuple(o.selected for o in result.outcomes),
-        counts=tuple(o.count for o in result.outcomes),
-        candidate_lengths=tuple(len(o.examined) for o in result.outcomes),
-        elapsed_seconds=elapsed,
-    )
-
-
 def run_scenario_grid(cfg: ScenarioConfig) -> ScenarioReport:
     """Run the search on every (n, k, m_bar, p) cell and repetition.
 
@@ -267,7 +232,20 @@ def run_scenario_grid(cfg: ScenarioConfig) -> ScenarioReport:
             for m_bar in cfg.m_bar_values:
                 for p, rep, seed, pattern, grouping in instances:
                     start = time.perf_counter()
-                    result = select_maxima(pattern, grouping, m_bar)
+                    outcomes = select_maxima(pattern, grouping, m_bar).outcomes
                     elapsed = time.perf_counter() - start
-                    records.append(_record(n, k, m_bar, p, rep, seed, result, elapsed))
+                    records.append(
+                        ScenarioRecord(
+                            n=n,
+                            k=k,
+                            m_bar=m_bar,
+                            p=p,
+                            repetition=rep,
+                            seed=seed,
+                            maxima=tuple(o.selected for o in outcomes),
+                            counts=tuple(o.count for o in outcomes),
+                            candidate_lengths=tuple(len(o.examined) for o in outcomes),
+                            elapsed_seconds=elapsed,
+                        )
+                    )
     return ScenarioReport(config=cfg, records=tuple(records))

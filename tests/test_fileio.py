@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import math
@@ -143,6 +144,17 @@ def test_parse_grouping_names_gaps_below_huge_values():
         parse_grouping_text("1,1\n1000000000000,2\n")
     with pytest.raises(ValueError, match="label 2 unused"):
         parse_grouping_text("1,1\n2,1000000000000\n")
+
+
+# characters that str.splitlines ends a line at, but a matrix file does not
+@pytest.mark.parametrize(
+    "mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_grouping_lines_end_where_matrix_lines_do(mark):
+    with pytest.raises(ValueError, match="<grouping>:2: expected 'unit,group', found 3 fields"):
+        parse_grouping_text(f"1,1\n2,2{mark}3,1\n")
+    with pytest.raises(ValueError, match="<grouping>:4: invalid assignment 'x,1'"):
+        parse_grouping_text(f"1,1\n2,2\n{mark}\nx,1\n")
 
 
 def _grouping_outcome(text):
@@ -305,6 +317,45 @@ def test_read_grouping_takes_crlf_by_numpy(tmp_path, monkeypatch):
     )
     assert read_grouping(path).labels.tolist() == [0, 1, 0]
     assert parsed[0] is not None
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_files_decode_as_utf8_whatever_the_locale(tmp_path):
+    # "é" decodes, so the parser names the line it cannot read, for a dense
+    # file, a triplet file, a piped triplet file and a grouping alike
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    encoding = fresh_python(
+        ["-c", "import locale; print(locale.getpreferredencoding(False))"], **ascii_locale
+    ).stdout.strip()
+    if codecs.lookup(encoding).name == "utf-8":
+        pytest.skip("the C locale reads UTF-8 here")
+    (tmp_path / "m.csv").write_bytes("1,0\n0,é\n".encode())
+    (tmp_path / "m.txt").write_bytes("1 1 1\n2 2 é\n".encode())
+    (tmp_path / "g.csv").write_bytes("1,1\n2,é\n".encode())
+    code = (
+        "import os, sys\n"
+        "from pathlib import Path\n"
+        "from musearch.fileio import read_grouping, read_matrix\n"
+        "r, w = os.pipe()\n"
+        "os.write(w, Path(sys.argv[2]).read_bytes())\n"
+        "os.close(w)\n"
+        "pipe = f'/dev/fd/{r}'\n"
+        "reads = [(read_matrix, path) for path in sys.argv[1:3]]\n"
+        "reads += [(read_matrix, pipe), (read_grouping, sys.argv[3])]\n"
+        "for read, path in reads:\n"
+        "    try:\n        read(path)\n"
+        "    except ValueError as exc:\n"
+        "        print(ascii(str(exc).replace(pipe, '<pipe>')))\n"
+    )
+    paths = [str(tmp_path / name) for name in ("m.csv", "m.txt", "g.csv")]
+    done = fresh_python(["-c", code, *paths], **ascii_locale)
+    expected = [
+        f"{paths[0]}:2: invalid number 'é'",
+        f"{paths[1]}:2: invalid triplet '2 2 é'",
+        "<pipe>:2: invalid triplet '2 2 é'",
+        f"{paths[2]}:2: invalid assignment '2,é'",
+    ]
+    assert (done.stdout, done.stderr) == ("".join(ascii(e) + "\n" for e in expected), "")
 
 
 def test_read_triplets_sized_by_n(tmp_path):

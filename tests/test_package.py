@@ -56,6 +56,19 @@ def test_public_names_resolve_to_their_modules():
         musearch.nope
 
 
+@pytest.mark.parametrize(
+    "module", ["matrix", "search", "oracle", "simulation", "fileio", "fixtures", "cli"]
+)
+def test_submodule_public_names_resolve(module):
+    owner = importlib.import_module(f"musearch.{module}")
+    assert [name for name in owner.__all__ if not hasattr(owner, name)] == []
+
+
+def test_fixtures_import_leaves_out_dataclasses():
+    out = run_fresh_python("import sys, musearch.fixtures; print('dataclasses' in sys.modules)")
+    assert out.strip() == "False"
+
+
 def test_submodules_resolve_as_attributes():
     out = run_fresh_python(
         "import musearch; print(musearch.search.select_maxima is musearch.select_maxima)"
