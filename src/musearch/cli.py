@@ -6,7 +6,7 @@ from a config file), and ``fixtures`` (list or extract bundled datasets).
 
 Exit codes: 0 success (all groups found), 2 when any group reports
 not-found or the oracle disagrees with the search, 1 for unreadable or
-invalid inputs.
+invalid inputs and for usage errors.
 
 Run as a program, the module ends the process with ``os._exit`` once it
 has flushed stdout and stderr. That skips the interpreter's teardown:
@@ -57,6 +57,11 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None) -> None:
         # argparse drops an OSError of an unbuffered write; run_main reports it
         (file or sys.stdout).write(self.format_help())
+
+    def error(self, message: str) -> None:
+        # exit 1, as for any invalid input: 2 means a group not found
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

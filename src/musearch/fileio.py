@@ -93,10 +93,11 @@ def _load_lines(
         if not dense and path is not None:
             return _load_triplets(path, n)
         with lines() as text:
-            nonblank = (line for line in text if line.strip())
             if dense:
+                # unlike whitespace-split rows, a comma row refuses a blank line
+                nonblank = (line for line in text if line.strip())
                 return np.loadtxt(nonblank, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-            return _load_triplets(nonblank, n)
+            return _load_triplets(text, n)
     except _TooLarge as exc:
         row, reason = exc.args
         with lines() as text:
@@ -218,11 +219,12 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
     if min(i.min(), j.min()) < 0 or not np.isfinite(value).all():
         raise ValueError("invalid triplet")
     largest = value.max()
-    if 0 <= value.min() and largest < _FLOAT64_EXACT and (np.trunc(value) == value).all():
-        dtype = np.min_scalar_type(int(largest))
-        value = value.astype(dtype)
-    else:
-        dtype = np.float64
+    if 0 <= value.min() and largest < _FLOAT64_EXACT:
+        # below 2^53 a value is an integer iff the cast keeps it
+        narrow = value.astype(np.min_scalar_type(int(largest)))
+        if (narrow == value).all():
+            value = narrow
+    dtype = value.dtype
     top = int(max(i.max(), j.max())) + 1
     if n is None:
         n = top

@@ -19,15 +19,15 @@ counts. A candidate with an empty partner set counts 0 in
 ``count_identity_submatrices`` itself, before any kernel runs.
 
 Three sets (K = 4) may instead be counted through their complements in
-the full other groups, by inclusion-exclusion against triangle tables
-that the candidates of one group share (``_GroupTables``): the unit and
-edge terms for the group's candidates with no empty partner set in one
-batch, the triangles among each one's complements by the frontier
-kernel. ``select_maxima`` builds those tables for a group only when they
-are exact, below 2^53 triples across the three other groups, and take
-fewer multiply-adds than the candidates' own products, from group-pair
-blocks that it builds once per search; other groups take the direct
-form, exact at any size.
+the full other groups, as a telescoped sum over triangle tables that the
+candidates of one group share (``_GroupTables``): three bilinear terms
+for the group's candidates with no empty partner set in one batch, the
+triangles among each one's complements by the frontier kernel.
+``select_maxima`` builds those tables for a group only when they are
+exact, below 2^53 triples across the three other groups, and take fewer
+multiply-adds than the candidates' own products, from group-pair blocks
+that it builds once per search; other groups take the direct form, exact
+at any size.
 """
 
 from __future__ import annotations
@@ -276,11 +276,10 @@ class _GroupTables:
     ``blocks``, keyed by label pair, and built there on first use, so that
     the K = 4 groups of one search build each of their six blocks once.
     ``pairs`` holds M_AB, M_AC and M_BC: entry (a, b) of M_AB is the number
-    of c in C with (a, b, c) a triangle, and so on. ``sums`` holds F_A, F_B
-    and F_C, the triangles through each unit, and ``total`` all triangles.
+    of c in C with (a, b, c) a triangle, and so on.
     """
 
-    __slots__ = ("zero_pattern", "groups", "pairs", "sums", "total", "batch", "counts")
+    __slots__ = ("zero_pattern", "groups", "pairs", "batch", "counts")
 
     def __init__(
         self,
@@ -296,37 +295,35 @@ class _GroupTables:
             if key not in blocks:
                 blocks[key] = _group_block(zero_pattern, grouping, *key)
         ab, ac, bc = (blocks[key] for key in keys)
-        pairs = ((ac @ bc.T) * ab, (ab @ bc) * ac, (ab.T @ ac) * bc)
-        # each sum is at most |G_A||G_B||G_C|, exact in float64 (_tables_pay)
-        sum_a = pairs[0].sum(axis=1, dtype=np.float64)
-        self.sums = (sum_a, *(m.sum(axis=0, dtype=np.float64) for m in pairs[:2]))
-        self.zero_pattern, self.pairs, self.total = zero_pattern, pairs, int(sum_a.sum())
+        self.zero_pattern = zero_pattern
+        self.pairs = ((ac @ bc.T) * ab, (ab @ bc) * ac, (ab.T @ ac) * bc)
         self.groups = [grouping.member_index(g) for g in labels]
         self.batch = batch
         self.counts: dict[int, int] = {}
 
     def count(self, unit: int) -> int:
         """The count of ``unit``, one of the batch, with those of the whole
-        batch on the first call, through the complements Y_A = G_A minus A,
-        Y_B and Y_C of their partner sets.
+        batch on the first call. With Y_A = G_A minus the partner set A, and
+        so on, and [P, Q, R] the triangles with one unit in each set, peeling
+        one partner set at a time telescopes a count to
 
-        By inclusion-exclusion a count is the triangles of the full groups,
-        minus those through a unit of a complement, plus those through an
-        edge between two complements, minus the triangles among the
-        complements themselves. The unit and edge terms are float64 products
-        over the candidates' complements as bool rows; the last term is each
-        candidate's own frontier count over its three complements.
+            [A, B, C] = [A, B, G_C] - [A, G_B, Y_C] + [G_A, Y_B, Y_C] - [Y_A, Y_B, Y_C].
+
+        The first three terms are float64 bilinear forms of the candidates'
+        sets and complements, as 0/1 rows, against M_AB, M_AC and M_BC, each
+        at most |G_A||G_B||G_C| and so exact (``_tables_pay``); the last is
+        each candidate's own frontier count over its complements.
         """
         if not self.counts:
             rows = self.zero_pattern._rows(np.asarray(self.batch, dtype=np.intp))
-            outside = [~np.take(rows, g, axis=1) for g in self.groups]
-            ys = [y.astype(np.float64) for y in outside]
-            count = np.full(len(self.batch), self.total, dtype=np.int64)
-            for through_unit, y in zip(self.sums, ys):
-                count -= (y @ through_unit).astype(np.int64)
-            for through_edge, (i, j) in zip(self.pairs, itertools.combinations(range(3), 2)):
-                count += ((ys[i] @ through_edge) * ys[j]).sum(axis=1).astype(np.int64)
-            count -= [
+            inside = [np.take(rows, g, axis=1) for g in self.groups]
+            outside = [~x for x in inside]
+            x_a, x_b, y_b, y_c = (m.astype(np.float64) for m in inside[:2] + outside[1:])
+            terms = [
+                ((left @ table) * right).sum(axis=1).astype(np.int64)
+                for left, table, right in zip((x_a, x_a, y_b), self.pairs, (x_b, y_c, y_c))
+            ]
+            count = terms[0] - terms[1] + terms[2] - [
                 _count_cliques(self.zero_pattern, [g[y] for g, y in zip(self.groups, complements)])
                 for complements in zip(*outside)
             ]
@@ -335,7 +332,7 @@ class _GroupTables:
 
 
 def _tables_pay(group_sizes: list[int], partner_sizes: list[list[int]]) -> bool:
-    """True when a group's shared tables are exact, their float64 sums
+    """True when a group's shared tables are exact, their float64 terms
     at most |G_A||G_B||G_C| < ``_FLOAT64_EXACT``, and take fewer
     multiply-adds than its candidates' own frontier products: three
     products over the full groups plus each candidate's frontier product

@@ -658,7 +658,7 @@ def test_script_output_to_a_file_is_what_main_gives(fixture_files, tmp_path, cap
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["--help"], 0), (["run", "--help"], 0), ([], 2), (["run", "--m-bar", "x"], 2)],
+    [(["--help"], 0), (["run", "--help"], 0), ([], 1), (["run", "--m-bar", "x"], 1)],
     ids=["help", "run-help", "no-command", "usage-error"],
 )
 def test_script_exits_as_argparse_does(capsys, argv, code):

@@ -94,6 +94,28 @@ def test_cross_group_zeros_fig1(fig1):
     assert 6 not in chosen  # unit 7, no cross-group zero
 
 
+@pytest.mark.parametrize("unit", [-1, 3])
+def test_zero_pattern_names_a_unit_out_of_range(unit):
+    pattern = ZeroPattern(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool))
+    message = rf"unit index {unit} out of range for n=3"
+    for read in (
+        lambda: pattern.has_zero(unit, 0),
+        lambda: pattern.has_zero(0, unit),
+        lambda: pattern.partners(unit),
+        lambda: pattern.zero_count(unit),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
+def test_symmetric_matrix_repr():
+    assert repr(SymmetricMatrix(np.eye(3))) == "SymmetricMatrix(n=3)"
+
+
+def test_grouping_repr():
+    assert repr(Grouping([0, 1, 1, 0, 1])) == "Grouping(n=5, k=2, sizes=(2, 3))"
+
+
 def test_cross_group_zeros_errors(fig1):
     pattern, grouping = fig1
     with pytest.raises(ValueError, match="out of range"):

@@ -15,6 +15,7 @@ from musearch import cli, matrix, search
 from musearch.fixtures import extract
 from musearch.oracle import oracle_count
 from musearch.search import (
+    GroupOutcome,
     count_identity_submatrices,
     group_partners,
     select_candidates,
@@ -697,3 +698,10 @@ def test_result_types_are_immutable_values(fig1):
     again = group_partners(pattern, grouping, 1)
     assert partners == partners and partners != again
     assert hash(partners) == hash(partners) and {partners, again} == {again, partners}
+
+
+def test_a_record_never_equals_a_value_of_another_type():
+    outcome = GroupOutcome(0, None, 0, ())
+    assert not outcome == (0, None, 0, ())
+    assert outcome != (0, None, 0, ())
+    assert outcome == GroupOutcome(0, None, 0, ())
