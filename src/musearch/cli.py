@@ -22,7 +22,6 @@ import gc
 import json
 import os
 import sys
-from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -42,7 +41,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio  # noqa: E402
 from .matrix import Grouping, ZeroPattern, build_zero_pattern  # noqa: E402
-from .search import PivotResult, select_maxima  # noqa: E402
+from .search import select_maxima  # noqa: E402
 
 # The fixtures, oracle and simulation modules, and the dataclasses,
 # statistics, decimal and fractions modules they load, are imported by the
@@ -137,71 +136,47 @@ def _load_instance(args) -> tuple[ZeroPattern, Grouping]:
 def cmd_run(args) -> int:
     pattern, grouping = _load_instance(args)
     result = select_maxima(pattern, grouping, args.m_bar)
-    cross = {
-        c.unit: c.cross_group_zeros
-        for group_list in result.candidates.per_group
-        for c in group_list
-    }
+    groups = [  # each group's record, 1-based, as the JSON report holds it
+        {
+            "group": o.group + 1,
+            "status": "found" if o.found else "not-found",
+            "selected": None if o.selected is None else o.selected + 1,
+            "count": o.count,
+            "candidates": [  # o.examined is in candidate order
+                {"unit": c.unit + 1, "cross_group_zeros": c.cross_group_zeros, "count": m}
+                for c, (_, m) in zip(result.candidates.per_group[o.group], o.examined)
+            ],
+        }
+        for o in result.outcomes
+    ]
+    maxima = None if result.maxima is None else [u + 1 for u in result.maxima]
+    verified = str(result.identity_verified).lower()
     if args.format == "json":
-        print(json.dumps(_run_payload(result, cross), indent=2))
+        report = {"groups": groups, "maxima": maxima, "identity_verified": result.identity_verified}
+        lines = [json.dumps(report, indent=2)]
     elif args.format == "csv":
-        print(_run_csv(result, cross), end="")
+        lines = ["group,status,selected,count,candidates,identity_verified"]
+        for g in groups:
+            # unit:cross_group_zeros:count, in the candidate record's order
+            packed = ";".join(":".join(map(str, c.values())) for c in g["candidates"])
+            selected = g["selected"] or ""  # 1-based, so None alone is false
+            lines.append(f"{g['group']},{g['status']},{selected},{g['count']},{packed},{verified}")
     else:
-        print(_run_text(result, cross), end="")
+        lines = []
+        for g in groups:
+            pick = "no pivotal unit"
+            if g["selected"]:
+                pick = f"unit {g['selected']}  count={g['count']}"
+            lines.append(f"group {g['group']}: {pick}  [{g['status']}]")
+            shown = "; ".join(
+                "unit {unit} zeros={cross_group_zeros} count={count}".format(**c)
+                for c in g["candidates"]
+            )
+            lines.append(f"  candidates: {shown or '(none)'}")
+        lines.append("maxima: " + ("-" if maxima is None else " ".join(map(str, maxima))))
+        lines.append(f"identity_verified: {verified}")
+    print("\n".join(lines))
     return 0 if result.all_found else 2
-
-
-def _run_payload(result: PivotResult, cross: dict[int, int]) -> dict:
-    groups = []
-    for o in result.outcomes:
-        groups.append(
-            {
-                "group": o.group + 1,
-                "status": "found" if o.found else "not-found",
-                "selected": None if o.selected is None else o.selected + 1,
-                "count": o.count,
-                "candidates": [
-                    {"unit": u + 1, "cross_group_zeros": cross[u], "count": m}
-                    for u, m in o.examined
-                ],
-            }
-        )
-    return {
-        "groups": groups,
-        "maxima": None if result.maxima is None else [u + 1 for u in result.maxima],
-        "identity_verified": result.identity_verified,
-    }
-
-
-def _run_text(result: PivotResult, cross: dict[int, int]) -> str:
-    out = StringIO()
-    for o in result.outcomes:
-        if o.found:
-            out.write(f"group {o.group + 1}: unit {o.selected + 1}  count={o.count}  [found]\n")
-        else:
-            out.write(f"group {o.group + 1}: no pivotal unit  [not-found]\n")
-        shown = "; ".join(
-            f"unit {u + 1} zeros={cross[u]} count={m}" for u, m in o.examined
-        )
-        out.write(f"  candidates: {shown if shown else '(none)'}\n")
-    if result.maxima is not None:
-        out.write("maxima: " + " ".join(str(u + 1) for u in result.maxima) + "\n")
-    else:
-        out.write("maxima: -\n")
-    out.write(f"identity_verified: {'true' if result.identity_verified else 'false'}\n")
-    return out.getvalue()
-
-
-def _run_csv(result: PivotResult, cross: dict[int, int]) -> str:
-    out = StringIO()
-    out.write("group,status,selected,count,candidates,identity_verified\n")
-    verified = "true" if result.identity_verified else "false"
-    for o in result.outcomes:
-        status = "found" if o.found else "not-found"
-        selected = "" if o.selected is None else str(o.selected + 1)
-        packed = ";".join(f"{u + 1}:{cross[u]}:{m}" for u, m in o.examined)
-        out.write(f"{o.group + 1},{status},{selected},{o.count},{packed},{verified}\n")
-    return out.getvalue()
 
 
 def cmd_oracle(args) -> int:
@@ -211,71 +186,55 @@ def cmd_oracle(args) -> int:
     report = oracle_maxima(pattern, grouping)
     # the search is exact on candidates, so at full budget its pick must
     # land in the oracle argmax set
-    full_budget = max(grouping.sizes)
-    result = select_maxima(pattern, grouping, full_budget)
-    disagreements = []  # the search's outcomes outside the oracle's argmax sets
-    for o in result.outcomes:
-        argmax = report.argmax_by_group[o.group]
-        if o.selected not in argmax and (o.found or argmax):
-            disagreements.append(o)
+    result = select_maxima(pattern, grouping, max(grouping.sizes))
+    counts = {u + 1: c for u, c in enumerate(report.counts)}
+    groups = [  # each group's record, 1-based, as the JSON report holds it
+        {
+            "group": o.group + 1,
+            "max": report.max_by_group[o.group],
+            "argmax": [u + 1 for u in report.argmax_by_group[o.group]],
+            "search_pick": None if o.selected is None else o.selected + 1,
+            "search_count": o.count,
+        }
+        for o in result.outcomes
+    ]
+    # a pick outside the argmax set disagrees, and so does a group found by
+    # one side only: an empty argmax set means no identity tuple at all
+    disagreements = [g for g in groups if g["search_pick"] not in (g["argmax"] or [None])]
     if args.format == "json":
-        print(json.dumps(_oracle_payload(report, result, disagreements), indent=2))
+        payload = {
+            "counts": counts,  # dumped with string keys
+            "groups": groups,
+            "identity_tuples": report.total,
+            "search_agrees": not disagreements,
+        }
+        lines = [json.dumps(payload, indent=2)]
     elif args.format == "csv":
-        print(_oracle_csv(grouping, report, result), end="")
+        argmax = {u for g in groups for u in g["argmax"]}
+        picks = {g["search_pick"] for g in groups}
+        lines = ["unit,group,count,is_argmax,search_pick"]
+        lines += [
+            f"{u},{label + 1},{c},{str(u in argmax).lower()},{str(u in picks).lower()}"
+            for (u, c), label in zip(counts.items(), grouping.labels.tolist())
+        ]
     else:
-        print(_oracle_text(report, disagreements), end="")
+        oracle = {  # each group's max and argmax as shown
+            g["group"]: f"max={g['max']} argmax={{{', '.join(map(str, g['argmax']))}}}"
+            for g in groups
+        }
+        lines = [f"unit {u}: count={c}" for u, c in counts.items()]
+        lines += [f"group {group}: {shown}" for group, shown in oracle.items()]
+        lines.append(f"identity tuples: {report.total}")
+        for g in disagreements:
+            pick = "no unit" if g["search_pick"] is None else f"unit {g['search_pick']}"
+            lines.append(
+                f"WARNING: search disagrees with oracle in group {g['group']}: search "
+                f"picks {pick} count={g['search_count']}, oracle {oracle[g['group']]}"
+            )
+        if not disagreements:
+            lines.append("search agrees with oracle")
+    print("\n".join(lines))
     return 2 if disagreements else 0
-
-
-def _oracle_payload(report, result, disagreements) -> dict:
-    return {
-        "counts": {str(u + 1): c for u, c in enumerate(report.counts)},
-        "groups": [
-            {
-                "group": o.group + 1,
-                "max": report.max_by_group[o.group],
-                "argmax": [u + 1 for u in report.argmax_by_group[o.group]],
-                "search_pick": None if o.selected is None else o.selected + 1,
-                "search_count": o.count,
-            }
-            for o in result.outcomes
-        ],
-        "identity_tuples": report.total,
-        "search_agrees": not disagreements,
-    }
-
-
-def _oracle_text(report, disagreements) -> str:
-    out = StringIO()
-    for u, c in enumerate(report.counts):
-        out.write(f"unit {u + 1}: count={c}\n")
-    oracle = []  # each group's max and argmax as shown
-    for g, argmax in enumerate(report.argmax_by_group):
-        shown = ", ".join(str(u + 1) for u in argmax)
-        oracle.append(f"max={report.max_by_group[g]} argmax={{{shown}}}")
-        out.write(f"group {g + 1}: {oracle[g]}\n")
-    out.write(f"identity tuples: {report.total}\n")
-    for o in disagreements:
-        pick = f"unit {o.selected + 1}" if o.found else "no unit"
-        out.write(
-            f"WARNING: search disagrees with oracle in group {o.group + 1}: search "
-            f"picks {pick} count={o.count}, oracle {oracle[o.group]}\n"
-        )
-    if not disagreements:
-        out.write("search agrees with oracle\n")
-    return out.getvalue()
-
-
-def _oracle_csv(grouping, report, result) -> str:
-    picks = {o.selected for o in result.outcomes}
-    out = StringIO()
-    out.write("unit,group,count,is_argmax,search_pick\n")
-    for u, c in enumerate(report.counts):
-        g = grouping.label(u)
-        argmax = "true" if u in report.argmax_by_group[g] else "false"
-        pick = "true" if u in picks else "false"
-        out.write(f"{u + 1},{g + 1},{c},{argmax},{pick}\n")
-    return out.getvalue()
 
 
 _CONFIG_KEYS = {

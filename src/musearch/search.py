@@ -371,27 +371,13 @@ def select_maxima(
             batch = [unit for unit, s in sizes.items() if all(s)]
             if _tables_pay(others, [sizes[unit] for unit in batch]):
                 tables = _GroupTables(zero_pattern, grouping, group, blocks, batch)
-        examined = []
-        best_unit: int | None = None
-        best_count = 0
-        for cand, cand_partners in zip(group_candidates, partners):
-            count = count_identity_submatrices(
-                zero_pattern, grouping, cand_partners, _tables=tables
-            )
-            examined.append((cand.unit, count))
-            if count >= 1 and (
-                count > best_count or (count == best_count and cand.unit < best_unit)
-            ):
-                best_unit = cand.unit
-                best_count = count
-        outcomes.append(
-            GroupOutcome(
-                group=group,
-                selected=best_unit,
-                count=best_count,
-                examined=tuple(examined),
-            )
+        examined = tuple(
+            (p.candidate, count_identity_submatrices(zero_pattern, grouping, p, _tables=tables))
+            for p in partners
         )
+        # the largest count, ties to the lowest unit; a count of 0 selects none
+        unit, count = max(examined, key=lambda e: (e[1], -e[0]), default=(None, 0))
+        outcomes.append(GroupOutcome(group, unit if count else None, count, examined))
     if all(o.found for o in outcomes):
         maxima = tuple(o.selected for o in outcomes)
         verified = verify_identity(zero_pattern, maxima, grouping)

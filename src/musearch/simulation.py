@@ -63,10 +63,14 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_values", "k_values", "m_bar_values", "p_values"):
-            values = getattr(self, name)
-            object.__setattr__(self, name, tuple(values))
-            if not getattr(self, name):
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if not values:
                 raise ValueError(f"{name}: empty grid list")
+            # a repeated value would fill one grid cell twice
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:
+                raise ValueError(f"{name}: {twice[0]!r} listed twice")
         if any(n < 1 for n in self.n_values):
             raise ValueError(f"n outside [1, inf): {self.n_values}")
         if any(k < 2 for k in self.k_values):

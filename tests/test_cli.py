@@ -101,6 +101,17 @@ def test_run_formats_agree(fixture_files, capsys):
             assert f"unit {c['unit']} zeros={c['cross_group_zeros']} count={c['count']}" in text_out
 
 
+def test_run_reports_candidates_1_based(fixture_files, capsys):
+    # fig1's candidates at m_bar 2 as (unit, cross_group_zeros, count), in
+    # candidate order; the text and CSV reports agree with these (above)
+    matrix, groups = fixture_files["fig1"]
+    argv = ["run", "--matrix", matrix, "--groups", groups, "--m-bar", "2", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    candidates = [[tuple(c.values()) for c in g["candidates"]] for g in json.loads(out)["groups"]]
+    assert candidates == [[(2, 4, 3), (3, 4, 3)], [(6, 5, 6), (4, 3, 2)], [(8, 5, 3), (9, 5, 5)]]
+
+
 def test_run_size_mismatch(fixture_files, tmp_path, capsys):
     matrix, _ = fixture_files["tennis"]
     groups = tmp_path / "short.csv"

@@ -13,7 +13,7 @@ from musearch.matrix import (
 )
 from musearch import cli, matrix, search
 from musearch.fixtures import extract
-from musearch.oracle import oracle_count
+from musearch.oracle import oracle_count, oracle_maxima
 from musearch.search import (
     GroupOutcome,
     count_identity_submatrices,
@@ -663,6 +663,45 @@ def test_inexact_tables_give_way_to_the_direct_form(monkeypatch):
         examined = [pair for outcome in result.outcomes for pair in outcome.examined]
         assert len(examined) == pattern.n
         assert examined == [(unit, oracle_count(pattern, grouping, unit)) for unit, _ in examined]
+
+
+# -- the K group sums agree at full budget ------------------------------------
+
+
+def full_budget_group_sums(pattern, grouping, tables):
+    # each group's counts summed over every unit (a unit that is no
+    # candidate has no cross-group zero and counts 0): the identity tuples,
+    # each found once through each group's own counts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_tables_pay", lambda *sizes: tables)
+        result = select_maxima(pattern, grouping, max(grouping.sizes))
+    return [sum(count for _, count in outcome.examined) for outcome in result.outcomes]
+
+
+@given(
+    n=st.integers(12, 150),
+    k=st.integers(3, 6),
+    p=st.sampled_from([0.05, 0.2, 0.5, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_group_sums_agree_at_full_budget(n, k, p, seed):
+    # the tables forced on and off (they count only at K = 4); the oracle
+    # checks the common sum where it is quick
+    pattern, grouping = random_instance(seed, n, k, p)
+    sums = {tables: full_budget_group_sums(pattern, grouping, tables) for tables in (True, False)}
+    assert sums[True] == sums[False] == [sums[True][0]] * k, sums
+    if math.prod(grouping.sizes) <= 20000:
+        assert sums[True][0] == oracle_maxima(pattern, grouping).total
+
+
+def test_group_sums_agree_past_the_oracle_limit():
+    pattern, grouping = random_instance(5, 480, 4, 0.2)
+    with pytest.raises(ValueError, match="too large for the oracle"):
+        oracle_maxima(pattern, grouping)
+    for tables in (True, False):
+        sums = full_budget_group_sums(pattern, grouping, tables)
+        assert sums == [sums[0]] * 4 and sums[0] > 0, tables
 
 
 def test_result_types_are_immutable_values(fig1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from musearch import simulation
+from musearch.cli import parse_scenario_config
 from musearch.matrix import build_zero_pattern
 from musearch.simulation import (
     ScenarioConfig,
@@ -111,6 +112,17 @@ def test_scenario_config_validation():
         with pytest.raises(ValueError, match=f"seed must fit in 64 bits, got {seed}"):
             ScenarioConfig(**good, seed=seed)
     ScenarioConfig(**good, seed=2**64 - 1)
+    # a value listed twice would fill one grid cell with two runs
+    for name, values, shown in [
+        ("p_values", (0.5, 0.5), "0.5"),
+        ("n_values", (12, 20, 12), "12"),
+        ("k_values", [2, 3, 3], "3"),
+        ("m_bar_values", (1, 2, 1, 2), "1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name}: {shown} listed twice$"):
+            ScenarioConfig(**{**good, name: values})
+    with pytest.raises(ValueError, match="^grid.cfg: p_values: 0.5 listed twice$"):
+        parse_scenario_config("n = 12\nk = 2\nm_bar = 1\np = 0.5, 0.50\n", source="grid.cfg")
 
 
 def small_config(**overrides):
