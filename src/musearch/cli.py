@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 if __name__ == "__main__":
     # The package imports below leave about 20k objects, most of them
@@ -237,29 +237,21 @@ def cmd_oracle(args) -> int:
     return 2 if disagreements else 0
 
 
-_CONFIG_KEYS = {
-    "n": "n_values",
-    "n_values": "n_values",
-    "k": "k_values",
-    "k_values": "k_values",
-    "m_bar": "m_bar_values",
-    "m_bar_values": "m_bar_values",
-    "p": "p_values",
-    "p_values": "p_values",
-    "seed": "seed",
-    "repetitions": "repetitions",
-}
-
-
 def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse ``key = value`` lines; grid lists are comma-separated.
+    """Parse ``key = value`` lines into a ``ScenarioConfig``.
 
-    Keys: n, k, m_bar, p (required grids), seed (default 0) and
-    repetitions (default 1); each may be set once, by its name or its
-    ``_values`` alias. ``#`` starts a comment.
+    Each field is a key, by its name or by its name without ``_values``,
+    and may be set once. A tuple field takes a comma-separated list of its
+    item type, any other field one value of its type. The fields without a
+    default are required. ``#`` starts a comment.
     """
+    import dataclasses
+
     from .simulation import ScenarioConfig
 
+    fields = dataclasses.fields(ScenarioConfig)
+    types = get_type_hints(ScenarioConfig)
+    keys = {key: f.name for f in fields for key in (f.name, f.name.removesuffix("_values"))}
     values: dict[str, object] = {}
     set_by: dict[str, tuple[str, int]] = {}  # field -> (key, line) that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -270,31 +262,29 @@ def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig
             raise ValueError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, rest = line.partition("=")
         key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-        field = _CONFIG_KEYS[key]
+        field = keys[key]
         if field in set_by:
             first, first_line = set_by[field]
             raise ValueError(
                 f"{source}:{lineno}: {key!r} is set twice (first as {first!r} on line {first_line})"
             )
         set_by[field] = (key, lineno)
-        fields = [f.strip() for f in rest.split(",") if f.strip()]
+        items = [item.strip() for item in rest.split(",") if item.strip()]
+        kind = types[field]
         try:
-            if field == "p_values":
-                parsed: object = tuple(float(f) for f in fields)
-            elif field in ("seed", "repetitions"):
-                if len(fields) != 1:
-                    raise ValueError("expected a single value")
-                parsed = int(fields[0])
+            if get_origin(kind) is tuple:
+                values[field] = tuple(map(get_args(kind)[0], items))
+            elif len(items) != 1:
+                raise ValueError("expected a single value")
             else:
-                parsed = tuple(int(f) for f in fields)
+                values[field] = kind(items[0])
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: invalid value for {key}: {exc}") from None
-        values[field] = parsed
-    for field in ("n_values", "k_values", "m_bar_values", "p_values"):
-        if field not in values:
-            raise ValueError(f"{source}: missing required key {field.split('_values')[0]!r}")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in values:
+            raise ValueError(f"{source}: missing required key {f.name.removesuffix('_values')!r}")
     try:
         return ScenarioConfig(**values)  # type: ignore[arg-type]
     except ValueError as exc:
@@ -306,8 +296,9 @@ def cmd_simulate(args) -> int:
 
     from .simulation import run_scenario_grid
 
-    text = Path(args.config).read_text()
-    cfg = parse_scenario_config(text, source=str(args.config))
+    source = str(args.config)
+    text = fileio._decode(Path(source).read_bytes(), source)
+    cfg = parse_scenario_config(text, source=source)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_scenario_grid(cfg)

@@ -100,6 +100,8 @@ def _load_lines(
             return _load_triplets(text, n)
     except _TooLarge as exc:
         row, reason = exc.args
+        if row is None:
+            raise ValueError(f"{source}: {reason}") from None
         with lines() as text:
             lineno = [number for number, _ in _numbered_lines(text)][row]
         raise ValueError(f"{source}:{lineno}: {reason}") from None
@@ -198,7 +200,8 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
 
 
 class _TooLarge(Exception):
-    """A triplet matrix too large to allocate: (its largest index's row, why)."""
+    """A triplet matrix too large to allocate: (the row of the index that
+    sized it, or None when the caller's n did, and why)."""
 
 
 def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
@@ -226,17 +229,18 @@ def _load_triplets(source: Iterable[str] | Path, n: int | None) -> np.ndarray:
             value = narrow
     dtype = value.dtype
     top = int(max(i.max(), j.max())) + 1
-    if n is None:
+    by_index = n is None  # sized by the file's largest index, not by the caller
+    if by_index:
         n = top
-        try:
-            a = np.zeros((n, n), dtype=dtype)
-        except (MemoryError, ValueError):  # ValueError: too big to address
-            reason = f"index {n} asks for a {n}-by-{n} matrix, more than can be allocated"
-            raise _TooLarge(int(np.argmax(np.maximum(i, j))), reason) from None
     elif top > n:
         raise ValueError(f"index {top} out of range for n={n}")
-    else:
+    try:
         a = np.zeros((n, n), dtype=dtype)
+    except (MemoryError, ValueError):  # ValueError: too big to address
+        asks = f"asks for a {n}-by-{n} matrix, more than can be allocated"
+        if by_index:
+            raise _TooLarge(int(np.argmax(np.maximum(i, j))), f"index {n} {asks}") from None
+        raise _TooLarge(None, f"n={n} {asks}") from None
     # flat indices into a's one contiguous buffer index faster than (i, j)
     flat = a.reshape(-1)
     upper, lower = i * n + j, j * n + i

@@ -15,7 +15,7 @@ what makes selected counts comparable across m_bar.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
 from statistics import mean
@@ -62,7 +62,7 @@ class ScenarioConfig:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_values", "k_values", "m_bar_values", "p_values"):
+        for name in [f.name for f in fields(self) if f.default is MISSING]:  # the grid axes
             values = tuple(getattr(self, name))
             object.__setattr__(self, name, values)
             if not values:
@@ -107,6 +107,13 @@ class ScenarioRecord:
     elapsed_seconds: float
 
 
+def _cell(value: object) -> str:
+    """A grid CSV cell: a tuple's items joined by ';', '-' for None, else the repr."""
+    if isinstance(value, tuple):
+        return ";".join(map(_cell, value))
+    return "-" if value is None else repr(value)
+
+
 @dataclass(frozen=True)
 class ScenarioReport:
     config: ScenarioConfig
@@ -115,18 +122,14 @@ class ScenarioReport:
     def to_csv_text(self) -> str:
         """One row per cell repetition; maxima are 1-based, '-' marks not-found.
 
-        The columns are ``ScenarioRecord``'s fields in order, timing last.
+        The columns are ``ScenarioRecord``'s fields in order, timing last,
+        each cell written by ``_cell``.
         """
         out = StringIO()
         out.write(",".join(f.name for f in fields(ScenarioRecord)) + "\n")
         for r in self.records:
-            maxima = ";".join("-" if u is None else str(u + 1) for u in r.maxima)
-            counts = ";".join(str(c) for c in r.counts)
-            lengths = ";".join(str(c) for c in r.candidate_lengths)
-            out.write(
-                f"{r.n},{r.k},{r.m_bar},{r.p!r},{r.repetition},{r.seed},"
-                f"{maxima},{counts},{lengths},{r.elapsed_seconds!r}\n"
-            )
+            row = replace(r, maxima=tuple(None if u is None else u + 1 for u in r.maxima))
+            out.write(",".join(_cell(getattr(row, f.name)) for f in fields(row)) + "\n")
         return out.getvalue()
 
     def to_markdown(self) -> str:

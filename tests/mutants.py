@@ -3,10 +3,10 @@
 Run from anywhere as ``python tests/mutants.py``; pytest does not collect
 this file. Each mutant replaces one exact piece of text in one file under
 ``src/musearch``. For each, the script copies ``src/`` into a temporary
-directory, applies the mutant there and runs the tests that guard counts
-(and, for a report mutant, the CLI tests) against that copy, stopping at
-the first failure. It first runs the same tests on an unmutated copy, so
-that a failure means the mutant was caught.
+directory, applies the mutant there and runs the tests the mutant names
+(by default those that guard counts) against that copy, stopping at the
+first failure. It first runs every test a mutant names on an unmutated
+copy, so that a failure means the mutant was caught.
 
 It prints one line per mutant and exits 1 when a mutant survives or its
 old text no longer occurs once in its file: a change to a kernel or a
@@ -26,6 +26,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COUNT_TESTS = ("tests/test_search.py", "tests/test_oracle.py", "tests/test_acceptance.py")
 REPORT_TESTS = COUNT_TESTS + ("tests/test_cli.py",)
+GRID_TESTS = ("tests/test_simulation.py", "tests/test_cli.py")
 
 
 class Mutant(NamedTuple):
@@ -113,6 +114,20 @@ MUTANTS = (
         "run --format csv: a 0-based selected unit",
         REPORT_TESTS,
     ),
+    Mutant(
+        "simulation.py",
+        "maxima=tuple(None if u is None else u + 1 for u in r.maxima)",
+        "maxima=r.maxima",
+        "simulate: 0-based maxima in the grid CSV",
+        GRID_TESTS,
+    ),
+    Mutant(
+        "cli.py",
+        "for key in (f.name, f.name.removesuffix(\"_values\"))",
+        "for key in (f.name,)",
+        "simulate: a config key without `_values` no longer names its field",
+        GRID_TESTS,
+    ),
 )
 
 
@@ -133,7 +148,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        if not tests_pass(src, REPORT_TESTS):
+        if not tests_pass(src, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))):
             print("the tests fail on the unmutated source: no mutant can be judged")
             return 1
         for mutant in MUTANTS:

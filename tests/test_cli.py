@@ -1,10 +1,13 @@
+import codecs
 import csv
+import dataclasses
 import gc
 import importlib
 import io
 import json
 import os
 import re
+import sys
 import threading
 from collections import Counter
 
@@ -17,7 +20,7 @@ from musearch.fileio import _load_fixed_width, write_grouping_csv, write_matrix_
 from musearch.fixtures import extract, load
 from musearch.matrix import ZeroPattern
 from musearch.search import GroupOutcome, PivotResult
-from musearch.simulation import generate_bernoulli_matrix, random_grouping
+from musearch.simulation import ScenarioConfig, generate_bernoulli_matrix, random_grouping
 
 from conftest import fresh_python, run_fresh_python, strip_timing
 
@@ -293,6 +296,47 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key 'bogus'" in err
 
 
+def test_simulate_names_the_line_of_an_undecodable_config_byte(tmp_path, capsys):
+    config = tmp_path / "grid.cfg"
+    config.write_bytes(b"n = 30\nk = 2\nm_bar = 1\n# sizes \xff\np = 0.5\n")
+    argv = ["simulate", "--config", str(config), "--out-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {config}:4: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_simulate_reads_its_config_as_utf8_whatever_the_locale(tmp_path):
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    encoding = fresh_python(
+        ["-c", "import locale; print(locale.getpreferredencoding(False))"], **ascii_locale
+    ).stdout.strip()
+    if codecs.lookup(encoding).name == "utf-8":
+        pytest.skip("the C locale reads UTF-8 here")
+    config = tmp_path / "grid.cfg"
+    config.write_bytes("# café\nn = 12\nk = 2\nm_bar = 1\np = 0.5\n".encode())
+    argv = ["simulate", "--config", str(config), "--out-dir", str(tmp_path)]
+    done = fresh_python(["-m", "musearch.cli", *argv], **ascii_locale)
+    wrote = f"wrote {tmp_path / 'grid.csv'} and {tmp_path / 'grid.md'}\n"
+    assert (done.returncode, done.stderr) == (0, wrote)
+    assert (tmp_path / "grid.csv").read_text().count("\n") == 2  # the header and one cell
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["field-names", "without-_values"])
+def test_config_round_trips_every_field_by_either_name(short):
+    # every field differs from its default, so none can be left unread
+    cfg = ScenarioConfig(
+        n_values=(12, 30), k_values=(2, 5), m_bar_values=(1, 4), p_values=(0.25, 0.5),
+        seed=2**64 - 1, repetitions=3,
+    )
+    lines = []
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        key = field.name.removesuffix("_values") if short else field.name
+        shown = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{key} = {shown}")
+    assert parse_scenario_config("\n".join(lines)) == cfg
+
+
 def test_config_parser_accepts_comments():
     cfg = parse_scenario_config("# grid\nn = 10, 20 # sizes\nk = 2\nm_bar = 1\np = 0.5\n")
     assert cfg.n_values == (10, 20)
@@ -458,6 +502,30 @@ def test_run_names_line_of_undecodable_grouping_byte(fixture_files, tmp_path, ca
     assert (code, out) == (1, "")
     assert err == f"error: {groups}:2: byte 0xff is not UTF-8 (invalid start byte)\n"
 
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_run_names_a_grouping_too_large_for_its_triplet_matrix(tmp_path):
+    # the grouping sizes the triplet matrix, and its 10^10 cells cannot be
+    # allocated within the 4 GiB of address space the run is capped at, so
+    # that no machine lazily grants them
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 2 1\n")
+    groups = tmp_path / "g.csv"
+    groups.write_text("".join(f"{u},{u % 4 + 1}\n" for u in range(1, 100_001)))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))\n"
+        "from musearch.cli import run_main\n"
+        "run_main()\n"
+    )
+    argv = ["run", "--matrix", str(matrix), "--groups", str(groups)]
+    done = fresh_python(["-c", code, *argv], OPENBLAS_NUM_THREADS="1")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1,
+        "",
+        f"error: {matrix}: n=100000 asks for a 100000-by-100000 matrix, more than can be "
+        "allocated\n",
+    )
 
 @pytest.mark.parametrize("user_value", [None, "2"])
 def test_cli_sets_one_blas_thread_unless_set(user_value):
