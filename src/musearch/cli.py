@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
@@ -127,7 +128,7 @@ def _load_instance(args) -> tuple[ZeroPattern, Grouping]:
     matrix = fileio.read_matrix(args.matrix, n=grouping.n)
     if matrix.n != grouping.n:
         raise ValueError(
-            f"matrix has {matrix.n} units but grouping covers {grouping.n}"
+            f"{args.matrix} has {matrix.n} units but {args.groups} covers {grouping.n}"
         )
     pattern = build_zero_pattern(matrix, args.epsilon)
     return pattern, grouping
@@ -254,7 +255,8 @@ def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig
     keys = {key: f.name for f in fields for key in (f.name, f.name.removesuffix("_values"))}
     values: dict[str, object] = {}
     set_by: dict[str, tuple[str, int]] = {}  # field -> (key, line) that set it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r and \r\n only, as in the data files
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -25,14 +25,28 @@ _FLOAT64_EXACT = 2**53
 
 class _Record:
     """Base of the small immutable value types: fields in ``__slots__``,
-    set once by ``_init`` and never assigned again, with ``==``, ``hash``
-    and ``repr`` over the fields, as a frozen dataclass has them. A
-    dataclass would cost about 1 ms of import per class, in every run."""
+    given by position or by name, set once by the constructor and never
+    assigned again, with ``==``, ``hash`` and ``repr`` over the fields,
+    as a frozen dataclass has them. A result type is a ``_Record``, since
+    a dataclass would cost about 1 ms of import per class, in every run. A
+    type stays a dataclass when code reads its fields' defaults or type
+    hints, as the grid's config parser and CSV writer do."""
 
     __slots__ = ()
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **named) -> None:
+        fields = self.__slots__
+        if len(values) + len(named) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(fields)} fields "
+                f"({', '.join(fields)}), got {len(values) + len(named)}"
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        for name, value in named.items():
+            if name not in fields[len(values):]:
+                problem = "twice" if name in fields else "it does not have"
+                raise TypeError(f"{type(self).__name__}() got field {name!r} {problem}")
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .matrix import Grouping, ZeroPattern, check_consistent
+from .matrix import Grouping, ZeroPattern, _Record, check_consistent
 
 __all__ = ["TUPLE_TEST_LIMIT", "OracleReport", "oracle_count", "oracle_maxima"]
 
@@ -19,19 +18,17 @@ __all__ = ["TUPLE_TEST_LIMIT", "OracleReport", "oracle_count", "oracle_maxima"]
 TUPLE_TEST_LIMIT = 10**8
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Exhaustive per-unit counts and per-group argmax sets.
+class OracleReport(_Record):
+    """Exhaustive per-unit counts and per-group argmax sets: ``counts``,
+    one int per unit; ``max_by_group``, each group's best count; and
+    ``argmax_by_group``, a tuple per group of the units with that count.
 
-    ``total`` counts the identity tuples, one unit per group: the sum of
-    the counts over any one group. Argmax sets are empty for groups whose
-    best count is zero.
+    ``total`` (int) counts the identity tuples, one unit per group: the sum
+    of the counts over any one group. Argmax sets are empty for groups
+    whose best count is zero.
     """
 
-    counts: tuple[int, ...]
-    max_by_group: tuple[int, ...]
-    argmax_by_group: tuple[tuple[int, ...], ...]
-    total: int
+    __slots__ = ("counts", "max_by_group", "argmax_by_group", "total")
 
 
 def _identity_tuples(zero_pattern: ZeroPattern, unit_lists: list[list[int]]):

@@ -53,26 +53,24 @@ __all__ = [
 
 
 class Candidate(_Record):
-    __slots__ = ("unit", "cross_group_zeros")
+    """A unit that may be its group's maximum: ``unit`` (int) and
+    ``cross_group_zeros`` (int), its zeros toward units of other groups."""
 
-    def __init__(self, unit: int, cross_group_zeros: int) -> None:
-        self._init(unit, cross_group_zeros)
+    __slots__ = ("unit", "cross_group_zeros")
 
 
 class CandidateSet(_Record):
-    """Per group, up to ``m_bar`` candidates ordered by cross-group zero
+    """Per group, up to ``m_bar`` (int) candidates: ``per_group`` holds
+    one tuple of ``Candidate`` per group label, ordered by cross-group zero
     count descending, ties by ascending unit index. Units with no
     cross-group zeros are excluded: they cannot appear in any identity
     submatrix."""
 
     __slots__ = ("m_bar", "per_group")
 
-    def __init__(self, m_bar: int, per_group: tuple[tuple[Candidate, ...], ...]) -> None:
-        self._init(m_bar, per_group)
-
 
 class PartnerGroups(_Record):
-    """Cross-group zero partners of one candidate, split by group.
+    """Cross-group zero partners of one ``candidate`` (int), split by group.
 
     ``members_by_group`` maps every group label other than the
     candidate's own to the ascending units of that group that have a zero
@@ -83,24 +81,16 @@ class PartnerGroups(_Record):
 
     __slots__ = ("candidate", "members_by_group")
 
-    def __init__(self, candidate: int, members_by_group: dict[int, np.ndarray]) -> None:
-        self._init(candidate, members_by_group)
-
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
 
 class GroupOutcome(_Record):
-    __slots__ = ("group", "selected", "count", "examined")
+    """One group's pick: ``group`` (int) label, the ``selected`` unit (int,
+    or None when no candidate counts above zero), its ``count`` (int), and
+    ``examined``: (unit, count) in candidate order."""
 
-    def __init__(
-        self,
-        group: int,
-        selected: int | None,
-        count: int,
-        examined: tuple[tuple[int, int], ...],  # (unit, count) in candidate order
-    ) -> None:
-        self._init(group, selected, count, examined)
+    __slots__ = ("group", "selected", "count", "examined")
 
     @property
     def found(self) -> bool:
@@ -108,16 +98,12 @@ class GroupOutcome(_Record):
 
 
 class PivotResult(_Record):
-    __slots__ = ("outcomes", "maxima", "identity_verified", "candidates")
+    """The search's result: ``outcomes``, one ``GroupOutcome`` per group;
+    ``maxima``, the selected units in group order, or None unless every
+    group found one; ``identity_verified`` (bool), whether the maxima form
+    an identity submatrix; and the ``candidates`` (``CandidateSet``)."""
 
-    def __init__(
-        self,
-        outcomes: tuple[GroupOutcome, ...],
-        maxima: tuple[int, ...] | None,
-        identity_verified: bool,
-        candidates: CandidateSet,
-    ) -> None:
-        self._init(outcomes, maxima, identity_verified, candidates)
+    __slots__ = ("outcomes", "maxima", "identity_verified", "candidates")
 
     @property
     def all_found(self) -> bool:

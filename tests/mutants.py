@@ -87,6 +87,17 @@ MUTANTS = (
         "a tie goes to the higher unit index",
     ),
     Mutant(
+        "matrix.py",
+        "        if len(values) + len(named) != len(fields):\n"
+        "            raise TypeError(\n"
+        "                f\"{type(self).__name__}() takes {len(fields)} fields \"\n"
+        "                f\"({', '.join(fields)}), got {len(values) + len(named)}\"\n"
+        "            )\n",
+        "",
+        "a record built with too few fields is accepted, the rest left unset",
+        ("tests/test_search.py",),
+    ),
+    Mutant(
         "cli.py",
         '{"unit": c.unit + 1,',
         '{"unit": c.unit,',

@@ -124,6 +124,16 @@ def test_run_size_mismatch(fixture_files, tmp_path, capsys):
     assert "error:" in err
 
 
+def test_run_size_mismatch_names_both_files(tmp_path, capsys):
+    matrix = tmp_path / "small.csv"
+    matrix.write_text("1,0\n0,1\n")
+    groups = tmp_path / "g.csv"
+    groups.write_text("1,1\n2,2\n3,2\n")
+    code, _, err = run_cli(capsys, "run", "--matrix", str(matrix), "--groups", str(groups))
+    assert code == 1
+    assert f"{matrix} has 2 units but {groups} covers 3" in err
+
+
 def test_run_malformed_matrix(tmp_path, capsys):
     matrix = tmp_path / "bad.csv"
     matrix.write_text("1,0\nnope,1\n")
@@ -385,6 +395,22 @@ def test_config_parser_refuses_a_key_set_twice(text, message):
 def test_config_parser_names_the_bad_line(text, message):
     with pytest.raises(ValueError, match=re.escape(f"grid.cfg:{message}")):
         parse_scenario_config(text, source="grid.cfg")
+
+
+@pytest.mark.parametrize(
+    "char", ["\x0c", "\x85", "\u2028"], ids=["form-feed", "next-line", "line-separator"]
+)
+def test_config_lines_end_only_at_newlines(char):
+    # str.splitlines() would also break at these, shifting every later line
+    # number and reading what follows them as a key
+    cfg = parse_scenario_config(f"n = 10 # a{char}seed = 5\nk = 2\nm_bar = 1\np = 0.5\n")
+    assert cfg.seed == 0
+    in_comment = f"# a{char}b\nn = 10\nk 2\n"
+    with pytest.raises(ValueError, match=re.escape("grid.cfg:3: expected 'key = value'")):
+        parse_scenario_config(in_comment, source="grid.cfg")
+    in_value = f"n = 10{char}seed = 5\nk = 2\nm_bar = 1\np = 0.5\n"
+    with pytest.raises(ValueError, match=re.escape("grid.cfg:1: invalid value for n")):
+        parse_scenario_config(in_value, source="grid.cfg")
 
 
 def test_fixtures_list(capsys):

@@ -69,6 +69,11 @@ def test_fixtures_import_leaves_out_dataclasses():
     assert out.strip() == "False"
 
 
+def test_oracle_import_leaves_out_dataclasses():
+    out = run_fresh_python("import sys, musearch.oracle; print('dataclasses' in sys.modules)")
+    assert out.strip() == "False"
+
+
 def test_submodules_resolve_as_attributes():
     out = run_fresh_python(
         "import musearch; print(musearch.search.select_maxima is musearch.select_maxima)"

@@ -13,9 +13,13 @@ from musearch.matrix import (
 )
 from musearch import cli, matrix, search
 from musearch.fixtures import extract
-from musearch.oracle import oracle_count, oracle_maxima
+from musearch.oracle import OracleReport, oracle_count, oracle_maxima
 from musearch.search import (
+    Candidate,
+    CandidateSet,
     GroupOutcome,
+    PartnerGroups,
+    PivotResult,
     count_identity_submatrices,
     group_partners,
     select_candidates,
@@ -744,3 +748,37 @@ def test_a_record_never_equals_a_value_of_another_type():
     assert not outcome == (0, None, 0, ())
     assert outcome != (0, None, 0, ())
     assert outcome == GroupOutcome(0, None, 0, ())
+
+
+def record_fields(record):
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+@pytest.mark.parametrize(
+    "record_type",
+    [Candidate, CandidateSet, PartnerGroups, GroupOutcome, PivotResult, OracleReport],
+    ids=lambda t: t.__name__,
+)
+def test_records_are_built_by_position_or_by_field_name(record_type):
+    names = record_type.__slots__
+    values = tuple(range(10, 10 + len(names)))
+    by_position = record_type(*values)
+    by_name = record_type(**dict(zip(reversed(names), reversed(values))))
+    mixed = record_type(values[0], **dict(zip(names[1:], values[1:])))
+    for record in (by_position, by_name, mixed):
+        assert record_fields(record) == values
+    if record_type is not PartnerGroups:  # which compares by identity
+        assert by_position == by_name == mixed
+        assert hash(by_position) == hash(by_name) == hash(mixed)
+    wrong = [
+        (values[:-1], {}),  # the last field missing
+        ((), dict(zip(names[1:], values[1:]))),  # the first field missing
+        (values + (0,), {}),  # a value too many
+        (values, {"extra": 0}),  # an unknown field besides every field
+        (values[:-1], {"extra": 0}),  # an unknown field in place of the last
+        (values, {names[-1]: 0}),  # the last field twice
+        (values[:-1], {names[0]: 0}),  # the first field twice, the last missing
+    ]
+    for given, named in wrong:
+        with pytest.raises(TypeError, match=record_type.__name__):
+            record_type(*given, **named)
