@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 if __name__ == "__main__":
     # The package imports below leave about 20k objects, most of them
@@ -47,10 +45,8 @@ from .search import select_maxima  # noqa: E402
 # The fixtures, oracle and simulation modules, and the dataclasses,
 # statistics, decimal and fractions modules they load, are imported by the
 # subcommands that use them, so that `musearch run` does not pay for them.
-if TYPE_CHECKING:
-    from .simulation import ScenarioConfig
 
-__all__ = ["main", "run_main", "parse_scenario_config"]
+__all__ = ["main", "run_main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,8 +181,9 @@ def cmd_oracle(args) -> int:
 
     pattern, grouping = _load_instance(args)
     report = oracle_maxima(pattern, grouping)
-    # the search is exact on candidates, so at full budget its pick must
-    # land in the oracle argmax set
+    # the search is exact on candidates, so at full budget, where every unit
+    # of an identity tuple is one, its pick must land in the oracle argmax
+    # set and each candidate's count must be the oracle's
     result = select_maxima(pattern, grouping, max(grouping.sizes))
     counts = {u + 1: c for u, c in enumerate(report.counts)}
     groups = [  # each group's record, 1-based, as the JSON report holds it
@@ -199,15 +196,32 @@ def cmd_oracle(args) -> int:
         }
         for o in result.outcomes
     ]
+    shown = {  # each group's max and argmax as the text report shows them
+        g["group"]: f"max={g['max']} argmax={{{', '.join(map(str, g['argmax']))}}}"
+        for g in groups
+    }
     # a pick outside the argmax set disagrees, and so does a group found by
     # one side only: an empty argmax set means no identity tuple at all
-    disagreements = [g for g in groups if g["search_pick"] not in (g["argmax"] or [None])]
+    warnings = []  # one per disagreeing group, naming its pick or a miscount
+    for g, o in zip(groups, result.outcomes):
+        miscounted = [(u + 1, m) for u, m in o.examined if m != report.counts[u]]
+        if g["search_pick"] not in (g["argmax"] or [None]):
+            pick = "no unit" if g["search_pick"] is None else f"unit {g['search_pick']}"
+            found = f"picks {pick} count={g['search_count']}, oracle {shown[g['group']]}"
+        elif miscounted:
+            unit, count = miscounted[0]
+            found = f"counts unit {unit} count={count}, oracle count={counts[unit]}"
+        else:
+            continue
+        warnings.append(
+            f"WARNING: search disagrees with oracle in group {g['group']}: search {found}"
+        )
     if args.format == "json":
         payload = {
             "counts": counts,  # dumped with string keys
             "groups": groups,
             "identity_tuples": report.total,
-            "search_agrees": not disagreements,
+            "search_agrees": not warnings,
         }
         lines = [json.dumps(payload, indent=2)]
     elif args.format == "csv":
@@ -219,88 +233,21 @@ def cmd_oracle(args) -> int:
             for (u, c), label in zip(counts.items(), grouping.labels.tolist())
         ]
     else:
-        oracle = {  # each group's max and argmax as shown
-            g["group"]: f"max={g['max']} argmax={{{', '.join(map(str, g['argmax']))}}}"
-            for g in groups
-        }
         lines = [f"unit {u}: count={c}" for u, c in counts.items()]
-        lines += [f"group {group}: {shown}" for group, shown in oracle.items()]
+        lines += [f"group {group}: {text}" for group, text in shown.items()]
         lines.append(f"identity tuples: {report.total}")
-        for g in disagreements:
-            pick = "no unit" if g["search_pick"] is None else f"unit {g['search_pick']}"
-            lines.append(
-                f"WARNING: search disagrees with oracle in group {g['group']}: search "
-                f"picks {pick} count={g['search_count']}, oracle {oracle[g['group']]}"
-            )
-        if not disagreements:
-            lines.append("search agrees with oracle")
+        lines += warnings or ["search agrees with oracle"]
     print("\n".join(lines))
-    return 2 if disagreements else 0
-
-
-def parse_scenario_config(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse ``key = value`` lines into a ``ScenarioConfig``.
-
-    Each field is a key, by its name or by its name without ``_values``,
-    and may be set once. A tuple field takes a comma-separated list of its
-    item type, any other field one value of its type. The fields without a
-    default are required. ``#`` starts a comment.
-    """
-    import dataclasses
-
-    from .simulation import ScenarioConfig
-
-    fields = dataclasses.fields(ScenarioConfig)
-    types = get_type_hints(ScenarioConfig)
-    keys = {key: f.name for f in fields for key in (f.name, f.name.removesuffix("_values"))}
-    values: dict[str, object] = {}
-    set_by: dict[str, tuple[str, int]] = {}  # field -> (key, line) that set it
-    # lines end at \n, \r and \r\n only, as in the data files
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, rest = line.partition("=")
-        key = key.strip().lower()
-        if key not in keys:
-            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-        field = keys[key]
-        if field in set_by:
-            first, first_line = set_by[field]
-            raise ValueError(
-                f"{source}:{lineno}: {key!r} is set twice (first as {first!r} on line {first_line})"
-            )
-        set_by[field] = (key, lineno)
-        items = [item.strip() for item in rest.split(",") if item.strip()]
-        kind = types[field]
-        try:
-            if get_origin(kind) is tuple:
-                values[field] = tuple(map(get_args(kind)[0], items))
-            elif len(items) != 1:
-                raise ValueError("expected a single value")
-            else:
-                values[field] = kind(items[0])
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: invalid value for {key}: {exc}") from None
-    for f in fields:
-        if f.default is dataclasses.MISSING and f.name not in values:
-            raise ValueError(f"{source}: missing required key {f.name.removesuffix('_values')!r}")
-    try:
-        return ScenarioConfig(**values)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    return 2 if warnings else 0
 
 
 def cmd_simulate(args) -> int:
     import dataclasses
 
-    from .simulation import run_scenario_grid
+    from .simulation import ScenarioConfig, run_scenario_grid
 
     source = str(args.config)
-    text = fileio._decode(Path(source).read_bytes(), source)
-    cfg = parse_scenario_config(text, source=source)
+    cfg = ScenarioConfig.parse(fileio._decode(Path(source).read_bytes(), source), source)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_scenario_grid(cfg)

@@ -7,7 +7,7 @@ I/O boundary only.
 
 from __future__ import annotations
 
-import math
+import bisect
 from typing import Sequence
 
 import numpy as np
@@ -318,28 +318,13 @@ def build_zero_pattern(matrix: SymmetricMatrix, epsilon: float = 0.0) -> ZeroPat
         raise ValueError(f"tolerance epsilon must be >= 0, got {epsilon}")
     a = matrix._data
     if a.dtype.kind == "u":
-        zero = a <= _largest_mantissa_within(epsilon, matrix._scale, a.dtype)
+        # A fixed-width CSV's mantissa m (at most 15 digits) stands for
+        # m / scale, which Python rounds exactly, as the parser does, and
+        # monotonically in m, so the mantissas within epsilon are 0..t.
+        top = min(int(np.iinfo(a.dtype).max), _FLOAT64_EXACT)
+        t = bisect.bisect_right(range(top + 1), epsilon, key=lambda m: m / matrix._scale) - 1
+        zero = a <= t
     else:
         zero = (a <= epsilon) & (a >= -epsilon)
     np.fill_diagonal(zero, False)
     return ZeroPattern(zero, _owned=True)
-
-
-def _largest_mantissa_within(epsilon: float, scale: int, dtype: np.dtype) -> int:
-    """The largest m of ``dtype`` with m / scale <= epsilon in float64.
-
-    m / scale rounds monotonically in m, so the mantissas within epsilon
-    are 0..t. Mantissas stay below 2^53 (a fixed-width field has at most
-    15 digits), and while epsilon * scale does too it lands a step or two
-    from t; a larger epsilon takes every mantissa.
-    """
-    top = min(int(np.iinfo(dtype).max), _FLOAT64_EXACT)
-    if top / scale <= epsilon:
-        return top
-    t = math.floor(epsilon * scale)
-    while (t + 1) / scale <= epsilon:
-        t += 1
-    while t / scale > epsilon:
-        t -= 1
-    return t
-

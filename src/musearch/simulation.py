@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
 from statistics import mean
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -84,6 +84,60 @@ class ScenarioConfig:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+
+    @classmethod
+    def parse(cls, text: str, source: str = "<config>") -> ScenarioConfig:
+        """Parse ``key = value`` lines into a ``ScenarioConfig``.
+
+        Each field is a key, by its name or by its name without ``_values``,
+        and may be set once. A tuple field takes a comma-separated list of
+        its item type, any other field one value of its type. The fields
+        without a default are required. ``#`` starts a comment.
+        """
+        types = get_type_hints(cls)
+        names = [f.name for f in fields(cls)]
+        keys = {key: name for name in names for key in (name, name.removesuffix("_values"))}
+        values: dict[str, object] = {}
+        set_by: dict[str, tuple[str, int]] = {}  # field -> (key, line) that set it
+        # lines end at \n, \r and \r\n only, as in the data files
+        for lineno, raw in enumerate(StringIO(text, newline=None), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+            key, _, rest = line.partition("=")
+            key = key.strip().lower()
+            if key not in keys:
+                raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+            field = keys[key]
+            if field in set_by:
+                first, first_line = set_by[field]
+                raise ValueError(
+                    f"{source}:{lineno}: {key!r} is set twice "
+                    f"(first as {first!r} on line {first_line})"
+                )
+            set_by[field] = (key, lineno)
+            items = [item.strip() for item in rest.split(",") if item.strip()]
+            kind = types[field]
+            try:
+                if get_origin(kind) is tuple:
+                    values[field] = tuple(map(get_args(kind)[0], items))
+                elif len(items) != 1:
+                    raise ValueError("expected a single value")
+                else:
+                    values[field] = kind(items[0])
+            except ValueError as exc:
+                raise ValueError(f"{source}:{lineno}: invalid value for {key}: {exc}") from None
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in values:
+                raise ValueError(
+                    f"{source}: missing required key {f.name.removesuffix('_values')!r}"
+                )
+        try:
+            return cls(**values)  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass(frozen=True)

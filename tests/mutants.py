@@ -6,7 +6,8 @@ this file. Each mutant replaces one exact piece of text in one file under
 directory, applies the mutant there and runs the tests the mutant names
 (by default those that guard counts) against that copy, stopping at the
 first failure. It first runs every test a mutant names on an unmutated
-copy, so that a failure means the mutant was caught.
+copy, so that a failure means the mutant was caught; when that run
+fails, it prints the end of pytest's output, which names the failing test.
 
 It prints one line per mutant and exits 1 when a mutant survives or its
 old text no longer occurs once in its file: a change to a kernel or a
@@ -27,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COUNT_TESTS = ("tests/test_search.py", "tests/test_oracle.py", "tests/test_acceptance.py")
 REPORT_TESTS = COUNT_TESTS + ("tests/test_cli.py",)
 GRID_TESTS = ("tests/test_simulation.py", "tests/test_cli.py")
+THRESHOLD_TESTS = ("tests/test_matrix.py", "tests/test_fileio.py")
 
 
 class Mutant(NamedTuple):
@@ -133,25 +135,48 @@ MUTANTS = (
         GRID_TESTS,
     ),
     Mutant(
-        "cli.py",
-        "for key in (f.name, f.name.removesuffix(\"_values\"))",
-        "for key in (f.name,)",
+        "simulation.py",
+        "for key in (name, name.removesuffix(\"_values\"))",
+        "for key in (name,)",
         "simulate: a config key without `_values` no longer names its field",
         GRID_TESTS,
+    ),
+    Mutant(
+        "matrix.py",
+        "bisect.bisect_right(",
+        "bisect.bisect_left(",
+        "a decimal matrix's threshold leaves out a mantissa exactly at epsilon",
+        THRESHOLD_TESTS,
+    ),
+    Mutant(
+        "matrix.py",
+        "key=lambda m: m / matrix._scale) - 1",
+        "key=lambda m: m / matrix._scale)",
+        "a decimal matrix's threshold takes the first mantissa above epsilon",
+        THRESHOLD_TESTS,
+    ),
+    Mutant(
+        "cli.py",
+        "miscounted = [(u + 1, m) for u, m in o.examined if m != report.counts[u]]",
+        "miscounted = []",
+        "oracle: a candidate's count no longer checked against the oracle's",
+        REPORT_TESTS,
     ),
 )
 
 
-def tests_pass(src: Path, tests: tuple[str, ...]) -> bool:
+def run_tests(src: Path, tests: tuple[str, ...], *, keep_output: bool = False):
+    """pytest's run of ``tests`` against ``src``, its output (stdout and
+    stderr) kept as text when ``keep_output`` is set, else discarded."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
         cwd=ROOT,
         env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        stdout=subprocess.PIPE if keep_output else subprocess.DEVNULL,
+        stderr=subprocess.STDOUT,
+        text=True,
     )
-    return done.returncode == 0
 
 
 def main() -> int:
@@ -159,8 +184,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        if not tests_pass(src, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))):
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        baseline = run_tests(src, tests, keep_output=True)
+        if baseline.returncode != 0:
             print("the tests fail on the unmutated source: no mutant can be judged")
+            # the failure's last lines and pytest's short test summary
+            print("\n".join(baseline.stdout.splitlines()[-40:]))
             return 1
         for mutant in MUTANTS:
             path = src / "musearch" / mutant.file
@@ -169,7 +198,7 @@ def main() -> int:
                 verdict = "STALE (old text not found once)"
             else:
                 path.write_text(text.replace(mutant.old, mutant.new))
-                caught = not tests_pass(src, mutant.tests)
+                caught = run_tests(src, mutant.tests).returncode != 0
                 path.write_text(text)
                 verdict = "caught" if caught else "SURVIVED"
             if verdict != "caught":

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from musearch import cli, search
-from musearch.cli import main, parse_scenario_config
+from musearch.cli import main
 from musearch.fileio import _load_fixed_width, write_grouping_csv, write_matrix_csv
 from musearch.fixtures import extract, load
 from musearch.matrix import ZeroPattern
@@ -237,6 +237,30 @@ def test_oracle_names_each_disagreeing_group(fixture_files, capsys, monkeypatch)
     assert picks == [(6, 3), (8, 5)]
 
 
+def test_oracle_checks_the_count_of_every_candidate(fixture_files, capsys, monkeypatch):
+    # both picks lie in the oracle's argmax sets, {6, 7} and {8}, but the
+    # search counts unit 7 twice where the oracle counts it three times
+    outcomes = (
+        GroupOutcome(0, 5, 3, ((5, 3), (6, 2), (2, 1), (3, 1), (4, 1))),
+        GroupOutcome(1, 7, 5, ((7, 5), (0, 2), (1, 2))),
+    )
+    result = PivotResult(outcomes, (5, 7), True, None)
+    monkeypatch.setattr(cli, "select_maxima", lambda *args: result)
+    matrix, groups = fixture_files["tennis"]
+    argv = ["oracle", "--matrix", matrix, "--groups", groups]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "WARNING: search disagrees with oracle in group 1: search counts unit 7 count=2, "
+        "oracle count=3"
+    )
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["search_agrees"] is False
+    code, _, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2
+
+
 def test_oracle_size_guard(tmp_path, capsys):
     n, k = 404, 4
     rows = "\n".join(",".join("1" for _ in range(n)) for _ in range(n))
@@ -344,11 +368,11 @@ def test_config_round_trips_every_field_by_either_name(short):
         key = field.name.removesuffix("_values") if short else field.name
         shown = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
         lines.append(f"{key} = {shown}")
-    assert parse_scenario_config("\n".join(lines)) == cfg
+    assert ScenarioConfig.parse("\n".join(lines)) == cfg
 
 
 def test_config_parser_accepts_comments():
-    cfg = parse_scenario_config("# grid\nn = 10, 20 # sizes\nk = 2\nm_bar = 1\np = 0.5\n")
+    cfg = ScenarioConfig.parse("# grid\nn = 10, 20 # sizes\nk = 2\nm_bar = 1\np = 0.5\n")
     assert cfg.n_values == (10, 20)
     assert cfg.seed == 0
     assert cfg.repetitions == 1
@@ -356,7 +380,7 @@ def test_config_parser_accepts_comments():
 
 def test_config_parser_requires_grids():
     with pytest.raises(ValueError, match="missing required key 'p'"):
-        parse_scenario_config("n = 10\nk = 2\nm_bar = 1\n")
+        ScenarioConfig.parse("n = 10\nk = 2\nm_bar = 1\n")
 
 
 @pytest.mark.parametrize(
@@ -379,7 +403,7 @@ def test_config_parser_requires_grids():
 )
 def test_config_parser_refuses_a_key_set_twice(text, message):
     with pytest.raises(ValueError, match=re.escape(f"grid.cfg:{message}")):
-        parse_scenario_config(text, source="grid.cfg")
+        ScenarioConfig.parse(text, source="grid.cfg")
 
 
 @pytest.mark.parametrize(
@@ -394,7 +418,7 @@ def test_config_parser_refuses_a_key_set_twice(text, message):
 )
 def test_config_parser_names_the_bad_line(text, message):
     with pytest.raises(ValueError, match=re.escape(f"grid.cfg:{message}")):
-        parse_scenario_config(text, source="grid.cfg")
+        ScenarioConfig.parse(text, source="grid.cfg")
 
 
 @pytest.mark.parametrize(
@@ -403,14 +427,14 @@ def test_config_parser_names_the_bad_line(text, message):
 def test_config_lines_end_only_at_newlines(char):
     # str.splitlines() would also break at these, shifting every later line
     # number and reading what follows them as a key
-    cfg = parse_scenario_config(f"n = 10 # a{char}seed = 5\nk = 2\nm_bar = 1\np = 0.5\n")
+    cfg = ScenarioConfig.parse(f"n = 10 # a{char}seed = 5\nk = 2\nm_bar = 1\np = 0.5\n")
     assert cfg.seed == 0
     in_comment = f"# a{char}b\nn = 10\nk 2\n"
     with pytest.raises(ValueError, match=re.escape("grid.cfg:3: expected 'key = value'")):
-        parse_scenario_config(in_comment, source="grid.cfg")
+        ScenarioConfig.parse(in_comment, source="grid.cfg")
     in_value = f"n = 10{char}seed = 5\nk = 2\nm_bar = 1\np = 0.5\n"
     with pytest.raises(ValueError, match=re.escape("grid.cfg:1: invalid value for n")):
-        parse_scenario_config(in_value, source="grid.cfg")
+        ScenarioConfig.parse(in_value, source="grid.cfg")
 
 
 def test_fixtures_list(capsys):

@@ -122,6 +122,15 @@ def test_parse_grouping_duplicate_unit():
         parse_grouping_text("1,1\n2,2\n1,2\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, unit", [("0,1\n1,2\n2,1\n", 1, 0), ("1,1\n-1,2\n2,1\n", 2, -1)]
+)
+def test_parse_grouping_refuses_units_below_one(text, line, unit):
+    message = f"g.csv:{line}: unit indices are 1-based, got {unit}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_grouping_text(text, "g.csv")
+
+
 def test_parse_grouping_missing_unit():
     with pytest.raises(ValueError, match="unit 2 has no group"):
         parse_grouping_text("1,1\n3,2\n")

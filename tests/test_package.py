@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 import musearch
-from musearch.cli import parse_scenario_config
 from musearch.simulation import ScenarioConfig
 
 from conftest import run_fresh_python
@@ -102,7 +101,7 @@ def test_readme_library_example_prints_its_comments():
 
 
 def test_readme_simulate_configs_parse():
-    example, paper = (parse_scenario_config(text) for text in readme_blocks(""))
+    example, paper = (ScenarioConfig.parse(text) for text in readme_blocks(""))
     assert example == ScenarioConfig((100, 500), (2, 3, 4), (1, 5, 10, 20), (0.8, 0.5, 0.2), 42)
     assert paper == ScenarioConfig(
         n_values=(100, 500, 1000),

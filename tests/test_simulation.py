@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from musearch import simulation
-from musearch.cli import parse_scenario_config
 from musearch.matrix import build_zero_pattern
 from musearch.simulation import (
     ScenarioConfig,
@@ -122,7 +121,7 @@ def test_scenario_config_validation():
         with pytest.raises(ValueError, match=f"^{name}: {shown} listed twice$"):
             ScenarioConfig(**{**good, name: values})
     with pytest.raises(ValueError, match="^grid.cfg: p_values: 0.5 listed twice$"):
-        parse_scenario_config("n = 12\nk = 2\nm_bar = 1\np = 0.5, 0.50\n", source="grid.cfg")
+        ScenarioConfig.parse("n = 12\nk = 2\nm_bar = 1\np = 0.5, 0.50\n", source="grid.cfg")
 
 
 def small_config(**overrides):
